@@ -334,12 +334,6 @@ let faultgen_cmd =
 
 (* --- simulate ------------------------------------------------------ *)
 
-let read_file_bytes path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Exit codes: 0 clean, 1 generic failure (lint errors, malformed
    foreign trace lines), 2 invalid configuration or usage (including a
    missing or unreadable trace file, RSM-T009), 3 structured trace
@@ -377,19 +371,57 @@ let adapter_format_arg =
               own branch predictor; malformed lines are RSM-A \
               diagnostics with file:line:col (DESIGN.md §17).")
 
-(* How the trace reaches the engine: a fully materialized array (the
-   default; required by --sample and --resume, which need random
-   access / replay) or a constant-memory pull stream (--stream). *)
+(* How the trace reaches the engine: a constant-memory pull stream
+   (every encoded trace, and foreign traces under --stream) or a
+   materialized array (generated kernels, foreign traces adapted up
+   front, and --sample/--resume/--degraded, which need random access,
+   replay or salvage). *)
 type trace_input =
   | Materialized of Resim_trace.Record.t array
   | Pulled of (unit -> Resim_trace.Record.t option) * (unit -> unit)
 
-let report_open_error path (error : Resim_trace.Codec.error) =
-  Format.eprintf "%s: %s@." path
-    (Resim_trace.Codec.error_to_string error);
-  (* Host-level I/O problems are usage errors (exit 2); malformed
-     bytes are trace faults (exit 3). *)
-  if String.equal error.error_code "RSM-T009" then exit 2 else exit fault_exit
+(* An encoded trace as a pull stream: stdin through a chunked cursor,
+   anything else through [Stream.open_path] (single file or shard set).
+   Header and I/O problems exit here — host I/O as a usage error (exit
+   2), malformed bytes as a trace fault (exit 3); payload faults
+   surface mid-run. *)
+let open_encoded path =
+  let source = if String.equal path "-" then "<stdin>" else path in
+  let opened =
+    if String.equal path "-" then begin
+      set_binary_mode_in stdin true;
+      Result.map
+        (Stream.of_cursor ~source)
+        (Resim_trace.Codec.Cursor.of_channel_result stdin)
+    end
+    else Stream.open_path path
+  in
+  match opened with
+  | Ok s -> s
+  | Error error ->
+      Format.eprintf "%s: %s@." source
+        (Resim_trace.Codec.error_to_string error);
+      exit (if String.equal error.error_code "RSM-T009" then 2 else fault_exit)
+
+(* A damaged payload in a single trace file is what --degraded resync
+   salvages; say so next to the fault. *)
+let resync_hint ~path (fault : Resim_trace.Fault.t) =
+  match fault.code with
+  | "RSM-T002" | "RSM-T003"
+    when Sys.file_exists path && Resim_trace.Codec.Shard.expand path = None ->
+      Format.eprintf
+        "(rerun with --degraded resync to skip damaged records)@."
+  | _ -> ()
+
+(* An encoded trace drained into an array, for the runs that need
+   random access or replay (--sample, --resume, profile). *)
+let read_encoded path =
+  match Stream.to_array (open_encoded path) with
+  | records -> records
+  | exception Resim_trace.Fault.Trace_fault fault ->
+      Format.eprintf "%s@." (Resim_trace.Fault.to_string fault);
+      resync_hint ~path fault;
+      exit fault_exit
 
 let report_adapter_stats ~file adapter =
   let stats = Adapter.stats adapter in
@@ -452,40 +484,27 @@ let simulate workload scale source_file trace_file trace_format stream
           other;
         exit 2
   in
-  if stream && trace_file = None then begin
-    Format.eprintf "--stream requires a trace source (--trace FILE or -)@.";
-    exit 2
-  end;
-  if trace_format <> None && trace_file = None then begin
-    Format.eprintf "--format requires a trace source (--trace FILE or -)@.";
-    exit 2
-  end;
-  if stream && sample_spec <> None then begin
+  if (stream || trace_format <> None) && trace_file = None then begin
     Format.eprintf
-      "--sample does not combine with --stream (sampling needs the \
+      "--stream/--format require a trace source (--trace FILE or -)@.";
+    exit 2
+  end;
+  if stream && (sample_spec <> None || resume_file <> None) then begin
+    Format.eprintf
+      "--sample/--resume do not combine with --stream (they need the \
        materialized trace)@.";
     exit 2
   end;
-  if stream && resume_file <> None then begin
+  if degraded_resync && (stream || trace_format <> None || trace_file = None)
+  then begin
     Format.eprintf
-      "--resume does not combine with --stream (resume replays a \
-       materialized trace)@.";
-    exit 2
-  end;
-  if degraded_resync && (stream || trace_format <> None) then begin
-    Format.eprintf
-      "--degraded applies to in-memory encoded traces only (no --stream, \
-       no --format)@.";
+      "--degraded applies to encoded trace files only (--trace FILE, no \
+       --stream, no --format)@.";
     exit 2
   end;
   let input, salvage_faults =
     match trace_file with
     | None ->
-        if degraded_resync then begin
-          Format.eprintf
-            "--degraded applies to trace files (--trace FILE) only@.";
-          exit 2
-        end;
         let program = program_of ?source_file workload scale in
         (Materialized (Resim_tracegen.Generator.records program), [])
     | Some path -> (
@@ -523,80 +542,30 @@ let simulate workload scale source_file trace_file trace_format stream
                   if owned then close_in_noerr ic;
                   (Materialized records, [])
             end
-        | None when stream ->
-            (* Encoded trace through the chunked cursor: O(chunk)
-               memory however large the file or pipe. *)
-            if String.equal path "-" then begin
-              set_binary_mode_in stdin true;
-              match Resim_trace.Codec.Cursor.of_channel_result stdin with
-              | Error error -> report_open_error "<stdin>" error
-              | Ok cursor ->
-                  let s = Stream.of_cursor ~source:"<stdin>" cursor in
-                  ( Pulled ((fun () -> Stream.next s), fun () -> Stream.close s),
-                    [] )
-            end
-            else begin
-              match Stream.open_path path with
-              | Error error -> report_open_error path error
-              | Ok s ->
-                  ( Pulled ((fun () -> Stream.next s), fun () -> Stream.close s),
-                    [] )
-            end
+        | None when degraded_resync -> (
+            match
+              Resim_trace.Codec.decode_degraded
+                (In_channel.with_open_bin path In_channel.input_all)
+            with
+            | exception Sys_error reason ->
+                Format.eprintf "%s: [RSM-T009] %s@." path reason;
+                exit 2
+            | Error error ->
+                Format.eprintf "%s: %s@." path
+                  (Resim_trace.Codec.error_to_string error);
+                exit fault_exit
+            | Ok (records, _format, faults) -> (Materialized records, faults))
+        | None when sample_spec <> None || resume_file <> None ->
+            (Materialized (read_encoded path), [])
         | None ->
-            if String.equal path "-" then begin
-              Format.eprintf
-                "--trace - (stdin) requires --stream or --format@.";
-              exit 2
-            end;
-            if degraded_resync then begin
-              let data =
-                match read_file_bytes path with
-                | data -> data
-                | exception Sys_error reason ->
-                    Format.eprintf "%s: [RSM-T009] %s@." path reason;
-                    exit 2
-              in
-              match Resim_trace.Codec.decode_degraded data with
-              | Error error ->
-                  Format.eprintf "%s: %s@." path
-                    (Resim_trace.Codec.error_to_string error);
-                  exit fault_exit
-              | Ok (records, _format, faults) ->
-                  (Materialized records, faults)
-            end
-            else begin
-              match Resim_trace.Codec.Shard.expand path with
-              | Some shards -> (
-                  (* A shard set: concatenate through the streaming
-                     cursor, materialized for --sample/--resume use. *)
-                  match Stream.open_sharded shards with
-                  | Error error -> report_open_error path error
-                  | Ok s -> (
-                      match Stream.to_array s with
-                      | records -> (Materialized records, [])
-                      | exception Resim_trace.Fault.Trace_fault fault ->
-                          Format.eprintf "%s: %s@." path
-                            (Resim_trace.Fault.to_string fault);
-                          exit fault_exit))
-              | None -> (
-                  match Resim_trace.Codec.read_file_result path with
-                  | Error error ->
-                      Format.eprintf "%s: %s@." path
-                        (Resim_trace.Codec.error_to_string error);
-                      if String.equal error.error_code "RSM-T009" then
-                        exit 2
-                      else begin
-                        Format.eprintf
-                          "(rerun with --degraded resync to skip damaged \
-                           records)@.";
-                        exit fault_exit
-                      end
-                  | Ok (records, _format) -> (Materialized records, []))
-            end)
+            (* Encoded trace (file, shard set or stdin) through the
+               chunked cursor: O(chunk) memory however large. *)
+            let s = open_encoded path in
+            (Pulled ((fun () -> Stream.next s), fun () -> Stream.close s), []))
   in
   let records =
-    (* The paths that need random access were guarded against --stream
-       above; [Pulled] only reaches the plain robust runner. *)
+    (* --sample and --resume always materialize above; [Pulled] only
+       reaches the plain robust runner. *)
     match input with Materialized records -> records | Pulled _ -> [||]
   in
   let config =
@@ -739,6 +708,10 @@ let simulate workload scale source_file trace_file trace_format stream
         close_sinks ();
         Format.eprintf "simulate: %s@."
           (Resim_core.Resim.failure_to_string failure);
+        (match (failure, trace_file, trace_format) with
+        | Resim_core.Resim.Fault fault, Some path, None ->
+            resync_hint ~path fault
+        | _ -> ());
         exit fault_exit
       in
       let conclude ?report robust =
@@ -789,35 +762,30 @@ let simulate workload scale source_file trace_file trace_format stream
                 report.warmed_instructions);
         finish ?report robust.Resim_core.Resim.outcome
       in
-      match sample_spec with
-      | Some spec -> (
-          match
-            Resim_sample.Sample.run ~config ?deadline ?max_cycles
-              ?instrument ~spec records
-          with
-          | Error failure -> fail failure
-          | Ok (robust, report) -> conclude ~report robust)
-      | None -> (
-          match input with
-          | Materialized records -> (
-              match
-                Resim_core.Resim.simulate_robust ~config ?max_cycles
-                  ?deadline ?instrument records
-              with
-              | Error failure -> fail failure
-              | Ok robust -> conclude robust)
-          | Pulled (pull, cleanup) -> (
-              (* Constant-memory path: the engine draws records on
-                 demand; the cleanup closes owned channels (and, for
-                 adapters, prints the adaptation stats). *)
-              let result =
-                Fun.protect ~finally:cleanup (fun () ->
-                    Resim_core.Resim.simulate_pull_robust ~config
-                      ?max_cycles ?deadline ?instrument pull)
-              in
-              match result with
-              | Error failure -> fail failure
-              | Ok robust -> conclude robust)))
+      let unsampled = Result.map (fun robust -> (robust, None)) in
+      let result =
+        match (sample_spec, input) with
+        | Some spec, _ ->
+            Result.map
+              (fun (robust, report) -> (robust, Some report))
+              (Resim_sample.Sample.run ~config ?deadline ?max_cycles
+                 ?instrument ~spec records)
+        | None, Materialized records ->
+            unsampled
+              (Resim_core.Resim.simulate_robust ~config ?max_cycles
+                 ?deadline ?instrument records)
+        | None, Pulled (pull, cleanup) ->
+            (* Constant-memory path: the engine draws records on demand;
+               the cleanup closes owned channels (and, for adapters,
+               prints the adaptation stats). *)
+            unsampled
+              (Fun.protect ~finally:cleanup (fun () ->
+                   Resim_core.Resim.simulate_pull_robust ~config
+                     ?max_cycles ?deadline ?instrument pull))
+      in
+      match result with
+      | Error failure -> fail failure
+      | Ok (robust, report) -> conclude ?report robust)
 
 let simulate_cmd =
   let trace_file =
@@ -828,22 +796,21 @@ let simulate_cmd =
           ~doc:"Simulate a trace file instead of a kernel: an encoded \
                 RSTR stream, a shard set (any shard name or the bare \
                 stem), a foreign text trace (with $(b,--format)), or \
-                $(b,-) for stdin (with $(b,--stream) or \
-                $(b,--format)). A missing or unreadable file exits 2 \
+                $(b,-) for stdin. A missing or unreadable file exits 2 \
                 with an RSM-T009 diagnostic.")
   in
   let stream =
     Arg.(
       value & flag
       & info [ "stream" ]
-          ~doc:"Pull the trace through the chunked streaming cursor \
-                instead of materializing it: O(chunk) host memory \
-                however large the trace, so multi-GB files, shard sets \
-                and unbounded pipes ($(b,tracegen --stream |)) \
-                simulate in constant memory. Statistics are \
-                bit-identical to the in-memory path; \
-                $(b,bits/instruction) reads 0 (the payload size is \
-                unknown mid-stream). Not combinable with \
+          ~doc:"Promise a constant-memory run. Encoded traces (files, \
+                shard sets, $(b,-)) always stream through the chunked \
+                cursor, so for them this flag changes nothing and is \
+                kept for scripts that pass it. With $(b,--format) it \
+                selects the streaming adapter instead of adapting the \
+                whole trace up front. Statistics and \
+                $(b,bits/instruction) are identical either way. Not \
+                combinable with \
                 $(b,--sample)/$(b,--resume)/$(b,--degraded).")
   in
   let perfect_bp =
@@ -1048,14 +1015,7 @@ let ptrace_cmd =
 let profile workload scale source_file trace_file json no_specialize =
   let records =
     match trace_file with
-    | Some path -> (
-        let data = read_file_bytes path in
-        match Resim_trace.Codec.decode_result data with
-        | Error error ->
-            Format.eprintf "%s: %s@." path
-              (Resim_trace.Codec.error_to_string error);
-            exit fault_exit
-        | Ok (records, _format) -> records)
+    | Some path -> read_encoded path
     | None ->
         let program = program_of ?source_file workload scale in
         Resim_tracegen.Generator.records program
@@ -1119,7 +1079,8 @@ let profile_cmd =
       value
       & opt (some file) None
       & info [ "t"; "trace" ] ~docv:"FILE"
-          ~doc:"Profile a trace file instead of a kernel.")
+          ~doc:"Profile an encoded trace (file, shard set or $(b,-)) \
+                instead of a kernel.")
   in
   let json =
     Arg.(

@@ -47,68 +47,71 @@ type robust = {
   resume : Checkpoint.t option;  (* Some whenever the run was truncated *)
 }
 
-let simulate_robust ?(config = Config.reference) ?watchdog ?max_cycles
-    ?deadline ?instrument ?driver records =
-  match
-    let engine = Engine.create ~config records in
-    (* Observability hook: attach sinks/probes to the freshly created
-       engine before the first cycle runs. *)
-    (match instrument with Some f -> f engine | None -> ());
-    let bounded =
-      match driver with
-      | Some drive -> drive engine
-      | None -> Engine.run_bounded ?watchdog ?max_cycles ?deadline engine
-    in
-    { outcome = outcome_of ~config ~records engine bounded.Engine.final;
-      stop = bounded.Engine.stop;
-      resume =
-        (* Stamp truncation handles with the engine identity so a
-           client holding one cannot replay it on a different build or
-           configuration (RSM-K007 at resume). *)
-        Option.map
-          (Checkpoint.with_engine (engine_identity config))
-          bounded.Engine.resume }
-  with
-  | robust -> Ok robust
+(* The fault domain both robust entries share: [run] returns the outcome
+   and how the run ended. Trace faults and deadlocks become [Error];
+   truncation handles are stamped with the engine identity so a client
+   holding one cannot replay it on a different build or configuration
+   (RSM-K007 at resume). *)
+let robustly ~config run =
+  match run () with
+  | outcome, (bounded : Engine.bounded) ->
+      Ok
+        { outcome;
+          stop = bounded.stop;
+          resume =
+            Option.map
+              (Checkpoint.with_engine (engine_identity config))
+              bounded.resume }
   | exception Resim_trace.Fault.Trace_fault fault -> Error (Fault fault)
   | exception Engine.Deadlock deadlock -> Error (Deadlock deadlock)
+
+let simulate_robust ?(config = Config.reference) ?watchdog ?max_cycles
+    ?deadline ?instrument ?driver records =
+  robustly ~config (fun () ->
+      let engine = Engine.create ~config records in
+      (* Observability hook: attach sinks/probes to the freshly created
+         engine before the first cycle runs. *)
+      (match instrument with Some f -> f engine | None -> ());
+      let bounded =
+        match driver with
+        | Some drive -> drive engine
+        | None -> Engine.run_bounded ?watchdog ?max_cycles ?deadline engine
+      in
+      (outcome_of ~config ~records engine bounded.Engine.final, bounded))
 
 (* Streaming robust entry: the engine pulls records on demand through a
    [Source] window, so the trace never materialises — constant memory
    for traces larger than RAM (pipes, chunked file cursors, foreign
-   adapters). The trace summary accumulates incrementally as records
-   stream past; [bits_per_instruction] needs the encoded payload and is
-   reported as 0 (unknown) on this path. *)
+   adapters). The trace summary and the Fixed-format payload size
+   accumulate in place as records stream past, so the outcome reports
+   what the array path reports for the records pulled. *)
 let simulate_pull_robust ?(config = Config.reference) ?watchdog ?max_cycles
     ?deadline ?instrument pull =
-  let summary = ref Resim_trace.Summary.zero in
+  let tally = Resim_trace.Summary.Tally.create () in
+  let sizing = Resim_trace.Codec.fresh_state () in
+  let bits = ref 0 in
   let counted () =
     match pull () with
-    | Some record ->
-        summary := Resim_trace.Summary.add !summary record;
-        Some record
+    | Some record as next ->
+        Resim_trace.Summary.Tally.add tally record;
+        bits := !bits + Resim_trace.Codec.record_bits Fixed sizing record;
+        next
     | None -> None
   in
-  match
-    let engine = Engine.create_from_source ~config (Source.of_pull counted) in
-    (match instrument with Some f -> f engine | None -> ());
-    let bounded = Engine.run_bounded ?watchdog ?max_cycles ?deadline engine in
-    { outcome =
-        { config;
+  robustly ~config (fun () ->
+      let engine = Engine.create_from_source ~config (Source.of_pull counted) in
+      (match instrument with Some f -> f engine | None -> ());
+      let bounded = Engine.run_bounded ?watchdog ?max_cycles ?deadline engine in
+      let trace_summary = Resim_trace.Summary.Tally.freeze tally in
+      ( { config;
           stats = bounded.Engine.final;
-          trace_summary = !summary;
-          bits_per_instruction = 0.0;
+          trace_summary;
+          bits_per_instruction =
+            (if trace_summary.total = 0 then 0.0
+             else float_of_int !bits /. float_of_int trace_summary.total);
           icache_stats = Resim_cache.Cache.stats (Engine.icache engine);
-          dcache_stats = Resim_cache.Cache.stats (Engine.dcache engine) };
-      stop = bounded.Engine.stop;
-      resume =
-        Option.map
-          (Checkpoint.with_engine (engine_identity config))
-          bounded.Engine.resume }
-  with
-  | robust -> Ok robust
-  | exception Resim_trace.Fault.Trace_fault fault -> Error (Fault fault)
-  | exception Engine.Deadlock deadlock -> Error (Deadlock deadlock)
+          dcache_stats = Resim_cache.Cache.stats (Engine.dcache engine) },
+        bounded ))
 
 let resume_trace ?(config = Config.reference) ~checkpoint records =
   let target = checkpoint.Checkpoint.cycle in

@@ -106,8 +106,9 @@ val simulate_pull_robust :
     engine draws records on demand through a {!Source} window, so the
     trace never materialises — constant memory for traces larger than
     RAM (chunked file cursors, pipes, foreign-format adapters). The
-    trace summary accumulates incrementally; [bits_per_instruction] is
-    0 on this path (the encoded payload size is unknown). A pull that
+    trace summary and the Fixed-format [bits_per_instruction] accumulate
+    per record ({!Resim_trace.Codec.record_bits}), so a drained run
+    reports what {!simulate_robust} reports on the same records. A pull that
     raises {!Resim_trace.Fault.Trace_fault} (truncated or corrupt
     stream, malformed foreign line) comes back as [Error (Fault _)]. *)
 

@@ -85,17 +85,18 @@ module Reader = struct
     { data = ""; byte = 0; bit = 0; total = 0; base = 0;
       refill = Some refill; eof = false }
 
-  (* Bits known to remain without asking the producer for more. *)
-  let buffered_bits r = ((r.base + String.length r.data) * 8) - r.total
+  (* Bits known to remain without asking the producer for more: exact
+     for string readers, a lower bound mid-stream for chunked ones. *)
+  let bits_remaining r = ((r.base + String.length r.data) * 8) - r.total
 
-  (* Make at least [n] more bits available, pulling chunks as needed;
-     false once the stream cannot supply them. Fully consumed bytes are
-     dropped at each refill — the unread tail (including the partially
+  (* Whether at least [n] more bits exist, pulling chunks as needed;
+     never raises. Fully consumed bytes are dropped at each refill —
+     the unread tail (including the partially
      consumed current byte, when [bit] > 0) is retained in front of the
      new chunk, so memory stays O(chunk + record) and positions stay
      absolute via [base]. *)
-  let rec ensure_bits r n =
-    if buffered_bits r >= n then true
+  let rec has_bits r n =
+    if bits_remaining r >= n then true
     else
       match r.refill with
       | None -> false
@@ -115,42 +116,51 @@ module Reader = struct
               r.base <- r.base + r.byte;
               r.data <- tail ^ chunk;
               r.byte <- 0;
-              ensure_bits r n
+              has_bits r n
             end
           end
 
-  let get_bit r =
-    if r.byte >= String.length r.data && not (ensure_bits r 1) then
-      raise Out_of_bits;
-    let value = (Char.code r.data.[r.byte] lsr (7 - r.bit)) land 1 in
-    if r.bit = 7 then begin
-      r.bit <- 0;
-      r.byte <- r.byte + 1
-    end
-    else r.bit <- r.bit + 1;
-    r.total <- r.total + 1;
-    value
+  (* Bytewise read of [bits] (<= 55) bits the window already holds:
+     whole bytes into the accumulator, which then carries at most 7
+     spare bits of the last byte and so stays within a native int;
+     nothing is allocated. *)
+  let take r bits =
+    let data = r.data in
+    let first = Char.code (String.unsafe_get data r.byte) in
+    let acc = ref (first land (0xff lsr r.bit)) in
+    let have = ref (8 - r.bit) and byte = ref r.byte in
+    while !have < bits do
+      incr byte;
+      acc := (!acc lsl 8) lor Char.code (String.unsafe_get data !byte);
+      have := !have + 8
+    done;
+    r.total <- r.total + bits;
+    r.byte <- (r.total lsr 3) - r.base;
+    r.bit <- r.total land 7;
+    !acc lsr (!have - bits)
 
-  let get r ~bits =
+  (* Whole bytes whenever the bits are (or can be refilled to be)
+     buffered; wider fields split in two. A read running off the end of
+     the stream leaves the state a bit-at-a-time read leaves — every
+     available bit consumed, positions at the end — and fails. *)
+  let rec get r ~bits =
     if bits <= 0 || bits > 62 then invalid_arg "Bitio.Reader.get: bits";
-    let rec loop acc remaining =
-      if remaining = 0 then acc
-      else loop ((acc lsl 1) lor get_bit r) (remaining - 1)
-    in
-    loop 0 bits
+    if bits > 55 then begin
+      let high = get r ~bits:(bits - 32) in
+      let low = get r ~bits:32 in
+      (high lsl 32) lor low
+    end
+    else if bits_remaining r >= bits || has_bits r bits then take r bits
+    else begin
+      r.byte <- String.length r.data;
+      r.bit <- 0;
+      r.total <- (r.base + r.byte) * 8;
+      raise Out_of_bits
+    end
 
   let get_bool r = get r ~bits:1 = 1
 
   let bits_consumed r = r.total
-
-  (* Bits known to remain without blocking on the producer: exact for
-     string readers, a lower bound mid-stream for chunked ones. *)
-  let bits_remaining r = buffered_bits r
-
-  (* Whether at least [n] more bits exist, refilling as needed — the
-     end-of-stream test for streamed (count-free) traces and trailing
-     -byte checks. Never raises. *)
-  let has_bits r n = ensure_bits r n
 
   (* The absolute stream offset of the byte holding the next unread bit
      (= stream length so far when exhausted). *)

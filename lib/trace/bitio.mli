@@ -48,6 +48,9 @@ module Reader : sig
       retained; all positions stay absolute. *)
 
   val get : t -> bits:int -> int
+  (** The next [bits] (1..62) bits, most significant first. When fewer
+      remain, consumes all of them and raises {!Out_of_bits}. *)
+
   val get_bool : t -> bool
   val bits_consumed : t -> int
   val bits_remaining : t -> int

@@ -41,75 +41,105 @@ let zigzag n = (n lsl 1) lxor (n asr 62)
 let unzigzag z = (z lsr 1) lxor (- (z land 1))
 
 (* Compact deltas: a 2-bit selector chooses an 8/16/24-bit zig-zag delta
-   or a full-width absolute escape. *)
-let put_delta w ~abs_bits ~value ~reference =
-  let delta = zigzag (value - reference) in
-  if delta < 1 lsl 8 then begin
-    Bitio.Writer.put w ~bits:selector_bits 0;
-    Bitio.Writer.put w ~bits:8 delta
-  end
-  else if delta < 1 lsl 16 then begin
-    Bitio.Writer.put w ~bits:selector_bits 1;
-    Bitio.Writer.put w ~bits:16 delta
-  end
-  else if delta < 1 lsl 24 then begin
-    Bitio.Writer.put w ~bits:selector_bits 2;
-    Bitio.Writer.put w ~bits:24 delta
-  end
-  else begin
-    Bitio.Writer.put w ~bits:selector_bits 3;
-    Bitio.Writer.put w ~bits:abs_bits value
-  end
+   or a full-width absolute escape (selector 3). *)
+let delta_selector delta =
+  if delta < 1 lsl 8 then 0
+  else if delta < 1 lsl 16 then 1
+  else if delta < 1 lsl 24 then 2
+  else 3
 
-let get_delta r ~abs_bits ~reference =
-  match Bitio.Reader.get r ~bits:selector_bits with
-  | 0 -> reference + unzigzag (Bitio.Reader.get r ~bits:8)
-  | 1 -> reference + unzigzag (Bitio.Reader.get r ~bits:16)
-  | 2 -> reference + unzigzag (Bitio.Reader.get r ~bits:24)
-  | _ -> Bitio.Reader.get r ~bits:abs_bits
+let delta_bits ~abs_bits selector =
+  if selector = 3 then abs_bits else 8 * (selector + 1)
+
+(* PCs, addresses and targets: Fixed stores the absolute value, Compact
+   a delta against [reference]. [field_bits] is the size [put_field]
+   emits, so sizing and encoding cannot drift apart. *)
+let field_bits format ~abs_bits ~value ~reference =
+  match format with
+  | Fixed -> abs_bits
+  | Compact ->
+      selector_bits
+      + delta_bits ~abs_bits (delta_selector (zigzag (value - reference)))
+
+let put_field format w ~abs_bits ~value ~reference =
+  match format with
+  | Fixed -> Bitio.Writer.put w ~bits:abs_bits value
+  | Compact ->
+      let delta = zigzag (value - reference) in
+      let selector = delta_selector delta in
+      Bitio.Writer.put w ~bits:selector_bits selector;
+      Bitio.Writer.put w
+        ~bits:(delta_bits ~abs_bits selector)
+        (if selector = 3 then value else delta)
+
+let get_field format r ~abs_bits ~reference =
+  match format with
+  | Fixed -> Bitio.Reader.get r ~bits:abs_bits
+  | Compact ->
+      let selector = Bitio.Reader.get r ~bits:selector_bits in
+      let field = Bitio.Reader.get r ~bits:(delta_bits ~abs_bits selector) in
+      if selector = 3 then field else reference + unzigzag field
 
 type encoder_state = { mutable prev_pc : int; mutable prev_addr : int }
 
+let type_code (record : Record.t) =
+  match record.payload with
+  | Other _ -> type_other
+  | Memory _ -> type_memory
+  | Branch _ -> type_branch
+
+(* Type, tag bit, three registers and the sequential-PC flag. *)
+let prefix_bits = type_bits + 1 + (3 * reg_bits) + 1
+
 let encode_record format w state (record : Record.t) =
-  let type_code =
-    match record.payload with
-    | Other _ -> type_other
-    | Memory _ -> type_memory
-    | Branch _ -> type_branch
-  in
-  Bitio.Writer.put w ~bits:type_bits type_code;
+  Bitio.Writer.put w ~bits:type_bits (type_code record);
   Bitio.Writer.put_bool w record.wrong_path;
   Bitio.Writer.put w ~bits:reg_bits record.dest;
   Bitio.Writer.put w ~bits:reg_bits record.src1;
   Bitio.Writer.put w ~bits:reg_bits record.src2;
   let sequential = record.pc = state.prev_pc + 1 in
   Bitio.Writer.put_bool w sequential;
-  if not sequential then begin
-    match format with
-    | Fixed -> Bitio.Writer.put w ~bits:pc_bits record.pc
-    | Compact ->
-        put_delta w ~abs_bits:pc_bits ~value:record.pc
-          ~reference:(state.prev_pc + 1)
-  end;
+  if not sequential then
+    put_field format w ~abs_bits:pc_bits ~value:record.pc
+      ~reference:(state.prev_pc + 1);
   state.prev_pc <- record.pc;
   match record.payload with
   | Other { op_class } ->
       Bitio.Writer.put w ~bits:class_bits (class_code op_class)
   | Memory { is_load; address } ->
       Bitio.Writer.put_bool w is_load;
-      (match format with
-      | Fixed -> Bitio.Writer.put w ~bits:addr_bits address
-      | Compact ->
-          put_delta w ~abs_bits:addr_bits ~value:address
-            ~reference:state.prev_addr);
+      put_field format w ~abs_bits:addr_bits ~value:address
+        ~reference:state.prev_addr;
       state.prev_addr <- address
-  | Branch { kind; taken; target } -> (
+  | Branch { kind; taken; target } ->
       Bitio.Writer.put w ~bits:kind_bits (kind_code kind);
       Bitio.Writer.put_bool w taken;
-      match format with
-      | Fixed -> Bitio.Writer.put w ~bits:pc_bits target
-      | Compact ->
-          put_delta w ~abs_bits:pc_bits ~value:target ~reference:record.pc)
+      put_field format w ~abs_bits:pc_bits ~value:target ~reference:record.pc
+
+(* What [encode_record] would emit, without emitting it: same widths,
+   same sequential-PC and delta rules, same state updates. *)
+let record_bits format state (record : Record.t) =
+  let pc =
+    if record.pc = state.prev_pc + 1 then 0
+    else
+      field_bits format ~abs_bits:pc_bits ~value:record.pc
+        ~reference:(state.prev_pc + 1)
+  in
+  state.prev_pc <- record.pc;
+  prefix_bits + pc
+  +
+  match record.payload with
+  | Other _ -> class_bits
+  | Memory { address; _ } ->
+      let bits =
+        field_bits format ~abs_bits:addr_bits ~value:address
+          ~reference:state.prev_addr
+      in
+      state.prev_addr <- address;
+      1 + bits
+  | Branch { target; _ } ->
+      kind_bits + 1
+      + field_bits format ~abs_bits:pc_bits ~value:target ~reference:record.pc
 
 let decode_record format r state : Record.t =
   let type_code = Bitio.Reader.get r ~bits:type_bits in
@@ -120,10 +150,7 @@ let decode_record format r state : Record.t =
   let sequential = Bitio.Reader.get_bool r in
   let pc =
     if sequential then state.prev_pc + 1
-    else
-      match format with
-      | Fixed -> Bitio.Reader.get r ~bits:pc_bits
-      | Compact -> get_delta r ~abs_bits:pc_bits ~reference:(state.prev_pc + 1)
+    else get_field format r ~abs_bits:pc_bits ~reference:(state.prev_pc + 1)
   in
   state.prev_pc <- pc;
   let payload =
@@ -132,9 +159,7 @@ let decode_record format r state : Record.t =
     else if type_code = type_memory then begin
       let is_load = Bitio.Reader.get_bool r in
       let address =
-        match format with
-        | Fixed -> Bitio.Reader.get r ~bits:addr_bits
-        | Compact -> get_delta r ~abs_bits:addr_bits ~reference:state.prev_addr
+        get_field format r ~abs_bits:addr_bits ~reference:state.prev_addr
       in
       state.prev_addr <- address;
       Record.Memory { is_load; address }
@@ -142,11 +167,7 @@ let decode_record format r state : Record.t =
     else if type_code = type_branch then begin
       let kind = kind_of_code (Bitio.Reader.get r ~bits:kind_bits) in
       let taken = Bitio.Reader.get_bool r in
-      let target =
-        match format with
-        | Fixed -> Bitio.Reader.get r ~bits:pc_bits
-        | Compact -> get_delta r ~abs_bits:pc_bits ~reference:pc
-      in
+      let target = get_field format r ~abs_bits:pc_bits ~reference:pc in
       Record.Branch { kind; taken; target }
     end
     else raise (Corrupt (Printf.sprintf "record type %d" type_code))
@@ -228,21 +249,23 @@ module Cursor = struct
     then Some { error_code = "RSM-T001"; byte_offset = 6; reason = "bad count" }
     else None
 
-  let of_string_result data =
-    match header_error data with
+  (* A cursor whose payload [reader] produces, once [header] (the
+     stream's first bytes) passes [header_error]. *)
+  let of_header header reader =
+    match header_error header with
     | Some error -> Error error
     | None ->
-        let format = format_of_code (Char.code data.[5]) in
-        let count = Int64.to_int (String.get_int64_be data 6) in
-        let payload =
-          String.sub data header_length (String.length data - header_length)
-        in
         Ok
-          { reader = Bitio.Reader.create payload;
-            format;
-            count;
+          { reader = reader ();
+            format = format_of_code (Char.code header.[5]);
+            count = Int64.to_int (String.get_int64_be header 6);
             state = fresh_state ();
             decoded = 0 }
+
+  let of_string_result data =
+    of_header data (fun () ->
+        Bitio.Reader.create
+          (String.sub data header_length (String.length data - header_length)))
 
   (* Chunked construction: parse the header from the channel, then hand
      the payload to a refilling reader that holds O(chunk) bytes at a
@@ -253,37 +276,18 @@ module Cursor = struct
   let of_channel_result ?(chunk = default_chunk) ic =
     if chunk <= 0 then invalid_arg "Codec.Cursor.of_channel: chunk";
     let header = Bytes.create header_length in
-    let got =
-      let rec fill at =
-        if at >= header_length then at
-        else
-          let n = input ic header at (header_length - at) in
-          if n = 0 then at else fill (at + n)
-      in
-      fill 0
+    let rec fill at =
+      if at >= header_length then at
+      else
+        let n = input ic header at (header_length - at) in
+        if n = 0 then at else fill (at + n)
     in
-    match header_error (Bytes.sub_string header 0 got) with
-    | Some error -> Error error
-    | None ->
-        let refill () =
-          let buffer = Bytes.create chunk in
-          let n = input ic buffer 0 chunk in
-          Bytes.sub_string buffer 0 n
-        in
-        Ok
-          { reader = Bitio.Reader.of_refill refill;
-            format = format_of_code (Bytes.get_uint8 header 5);
-            count = Int64.to_int (Bytes.get_int64_be header 6);
-            state = fresh_state ();
-            decoded = 0 }
-
-  let of_string data =
-    match of_string_result data with
-    | Ok cursor -> cursor
-    | Error { reason; _ } -> raise (Corrupt reason)
+    of_header (Bytes.sub_string header 0 (fill 0)) (fun () ->
+        let buffer = Bytes.create chunk in
+        Bitio.Reader.of_refill (fun () ->
+            Bytes.sub_string buffer 0 (input ic buffer 0 chunk)))
 
   let format t = t.format
-  let count t = t.count
   let decoded t = t.decoded
 
   let streamed t = t.count < 0
@@ -301,12 +305,6 @@ module Cursor = struct
      to the whole stream (header included) so diagnostics point into the
      file the user has. *)
   let byte_offset t = header_length + Bitio.Reader.byte_position t.reader
-
-  let next t =
-    if not (has_next t) then invalid_arg "Codec.Cursor.next: exhausted";
-    let record = decode_record t.format t.reader t.state in
-    t.decoded <- t.decoded + 1;
-    record
 
   let next_result t =
     if not (has_next t) then
@@ -338,8 +336,6 @@ module Cursor = struct
             { error_code = "RSM-T003";
               byte_offset = at;
               reason = Printf.sprintf "undecodable record: %s" reason }
-
-  let bits_remaining t = Bitio.Reader.bits_remaining t.reader
 
   (* Whole bytes left after the declared records — refills once so the
      check is also meaningful on chunked cursors. The byte count is the
@@ -387,36 +383,25 @@ module Cursor = struct
     scan (start + 1)
 end
 
-let decode data =
-  let cursor = Cursor.of_string data in
-  let records =
-    try
-      if Cursor.streamed cursor then begin
-        let out = ref [] in
-        while Cursor.has_next cursor do
-          out := Cursor.next cursor :: !out
-        done;
-        Array.of_list (List.rev !out)
-      end
-      else Array.init cursor.Cursor.count (fun _ -> Cursor.next cursor)
-    with Bitio.Reader.Out_of_bits -> raise (Corrupt "truncated payload")
+(* Drain a cursor into an array, stopping at the first decode error. *)
+let collect cursor =
+  let rec loop acc =
+    if not (Cursor.has_next cursor) then
+      Ok (Array.of_list (List.rev acc), cursor.Cursor.format)
+    else
+      match Cursor.next_result cursor with
+      | Ok record -> loop (record :: acc)
+      | Error error -> Error error
   in
-  (records, cursor.Cursor.format)
+  loop []
 
-let decode_result data =
-  match Cursor.of_string_result data with
-  | Error error -> Error error
-  | Ok cursor ->
-      let rec collect acc =
-        if not (Cursor.has_next cursor) then Ok (List.rev acc)
-        else
-          match Cursor.next_result cursor with
-          | Ok record -> collect (record :: acc)
-          | Error error -> Error error
-      in
-      (match collect [] with
-      | Ok records -> Ok (Array.of_list records, cursor.Cursor.format)
-      | Error error -> Error error)
+let decode_result data = Result.bind (Cursor.of_string_result data) collect
+
+let decode data =
+  match decode_result data with
+  | Ok decoded -> decoded
+  | Error { error_code = "RSM-T002"; _ } -> raise (Corrupt "truncated payload")
+  | Error { reason; _ } -> raise (Corrupt reason)
 
 (* Degraded decode: salvage every structurally decodable record from a
    corrupt stream. On a decode failure the cursor resyncs to the next
@@ -456,8 +441,10 @@ let decode_degraded data =
           List.rev !faults )
 
 let encoded_bits ?(format = Fixed) records =
-  let _payload, bits = payload_string ~format records in
-  bits
+  let state = fresh_state () in
+  Array.fold_left
+    (fun bits record -> bits + record_bits format state record)
+    0 records
 
 let bits_per_instruction ?(format = Fixed) records =
   if Array.length records = 0 then 0.0
@@ -469,24 +456,21 @@ let write_file ?format path records =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (encode ?format records))
 
-(* Host-level failures (missing file, permissions, a file shorter than
-   its own header claims) are part of the same typed-error surface as
-   malformed bytes: RSM-T009, byte offset 0, with the host's reason.
-   Nothing below here lets a raw [Sys_error]/[End_of_file] escape. *)
-let io_error reason = { error_code = "RSM-T009"; byte_offset = 0; reason }
-
-let with_file_in path f =
+(* Host-level failures (missing file, permissions, read errors) are
+   RSM-T009 at byte offset 0 with the host's reason; no raw [Sys_error]
+   escapes. Decodes through the chunked cursor, not a whole-file copy. *)
+let read_file_result path =
+  let io_error reason = { error_code = "RSM-T009"; byte_offset = 0; reason } in
   match open_in_bin path with
   | exception Sys_error reason -> Error (io_error reason)
-  | ic -> Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () -> f ic)
-
-let read_file_result path =
-  with_file_in path (fun ic ->
-      match really_input_string ic (in_channel_length ic) with
-      | exception End_of_file ->
-          Error (io_error (path ^ ": file shrank while reading"))
-      | exception Sys_error reason -> Error (io_error reason)
-      | data -> decode_result data)
+  | ic -> (
+      match
+        Fun.protect
+          ~finally:(fun () -> close_in_noerr ic)
+          (fun () -> Result.bind (Cursor.of_channel_result ic) collect)
+      with
+      | result -> result
+      | exception Sys_error reason -> Error (io_error reason))
 
 let read_file path =
   match read_file_result path with

@@ -45,10 +45,6 @@ val encode : ?format:format -> Record.t array -> string
 
 val decode : string -> Record.t array * format
 
-val decode_result : string -> (Record.t array * format, error) result
-(** [decode] without escaping exceptions: any malformed header, field
-    code or truncation comes back as a structured {!error}. *)
-
 val decode_degraded :
   string -> (Record.t array * format * Fault.t list, error) result
 (** Salvage decode for corrupt streams: on an undecodable record the
@@ -63,12 +59,10 @@ val decode_degraded :
 module Cursor : sig
   type t
 
-  val of_string : string -> t
-  (** Parses the header; raises {!Corrupt} when it is malformed. *)
-
   val of_string_result : string -> (t, error) result
-  (** [of_string] with a structured error (code RSM-T001 and the byte
-      offset of the offending header field) instead of an exception. *)
+  (** Parse the header of an in-memory stream; a malformed one is a
+      structured error (code RSM-T001 and the byte offset of the
+      offending header field). *)
 
   val default_chunk : int
   (** Refill-buffer size [of_channel_result] uses by default (64 KiB). *)
@@ -82,9 +76,6 @@ module Cursor : sig
       for the cursor's lifetime and is not closed by the cursor. *)
 
   val format : t -> format
-  val count : t -> int
-  (** Record count the header declares; negative for streamed traces
-      (see {!streamed}). *)
 
   val decoded : t -> int
   (** Records decoded so far — the offset of the next record. *)
@@ -98,19 +89,11 @@ module Cursor : sig
       Streamed cursors: whether at least one whole payload byte remains
       (exact — end padding is under 8 bits and no record is shorter). *)
 
-  val next : t -> Record.t
-  (** Decode the next record. Raises {!Corrupt} on an undecodable
-      field, [Bitio.Reader.Out_of_bits] past the end of the payload,
-      and [Invalid_argument] when called after [count] records. *)
-
   val next_result : t -> (Record.t, error) result
-  (** [next] with structured errors: a truncated record is RSM-T002, an
-      undecodable field RSM-T003, both carrying the byte offset where
-      decoding stopped. Nothing escapes. *)
-
-  val byte_offset : t -> int
-  (** Absolute stream offset (header included) of the byte holding the
-      next unread bit — a file offset even on chunked cursors. *)
+  (** Decode the next record: a truncated record is RSM-T002, an
+      undecodable field RSM-T003, both carrying the absolute stream
+      offset (header included) where decoding stopped — a file offset
+      even on chunked cursors. Nothing escapes. *)
 
   val resync : t -> int option
   (** Skip forward to the next byte boundary from which a record (and
@@ -119,10 +102,6 @@ module Cursor : sig
       before the end of the payload. Decoder delta state carries over,
       so resynced records are structurally sound but may be
       semantically wrong — mark the run degraded. *)
-
-  val bits_remaining : t -> int
-  (** Bits buffered but not yet decoded: exact for in-memory cursors, a
-      lower bound mid-stream for chunked ones. *)
 
   val trailing_bytes : t -> int
   (** Whole bytes left beyond the declared records (refills once, so it
@@ -186,9 +165,26 @@ module Shard : sig
       own. *)
 end
 
+type encoder_state
+(** Delta-coding state (previous PC and address) threaded through a
+    stream, as the encoder and decoder keep it. *)
+
+val fresh_state : unit -> encoder_state
+(** The state at the start of a stream or shard. *)
+
+val record_bits : format -> encoder_state -> Record.t -> int
+(** Bits [record] occupies when encoded next in a stream with this
+    state, which it advances as encoding would — without encoding.
+    Summing it over a stream gives {!encoded_bits} at no allocation,
+    which is how pull runs report bits/instruction. *)
+
+val payload_string : ?format:format -> Record.t array -> string * int
+(** The encoded payload (no header, final byte zero-padded) and its
+    exact length in bits. *)
+
 val encoded_bits : ?format:format -> Record.t array -> int
 (** Payload size in bits, excluding the stream header — the quantity the
-    paper reports per instruction. *)
+    paper reports per instruction: the sum of {!record_bits}. *)
 
 val bits_per_instruction : ?format:format -> Record.t array -> float
 (** [encoded_bits / Array.length records]; 0 for an empty trace. *)

@@ -107,8 +107,6 @@ let fold f init t =
   in
   Fun.protect ~finally:(fun () -> close t) (fun () -> loop init)
 
-let iter f t = fold (fun () record -> f record) () t
-
 let to_array t =
   let out = fold (fun acc record -> record :: acc) [] t in
   Array.of_list (List.rev out)

@@ -44,5 +44,4 @@ val open_path : ?chunk:int -> string -> (t, Codec.error) result
 val fold : ('a -> Record.t -> 'a) -> 'a -> t -> 'a
 (** Drain the stream, closing it even on exceptions. *)
 
-val iter : (Record.t -> unit) -> t -> unit
 val to_array : t -> Record.t array

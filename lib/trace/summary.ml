@@ -16,27 +16,62 @@ let zero =
     cond_branches = 0; taken_branches = 0; loads = 0; stores = 0;
     mults = 0; divides = 0 }
 
-let add acc (record : Record.t) =
-  let acc =
-    { acc with
-      total = acc.total + 1;
-      correct_path = acc.correct_path + (if record.wrong_path then 0 else 1);
-      wrong_path = acc.wrong_path + (if record.wrong_path then 1 else 0) }
-  in
-  match record.payload with
-  | Branch { kind; taken; _ } ->
-      { acc with
-        branches = acc.branches + 1;
-        cond_branches = (acc.cond_branches + match kind with Cond -> 1 | _ -> 0);
-        taken_branches = acc.taken_branches + (if taken then 1 else 0) }
-  | Memory { is_load; _ } ->
-      if is_load then { acc with loads = acc.loads + 1 }
-      else { acc with stores = acc.stores + 1 }
-  | Other { op_class = Mult } -> { acc with mults = acc.mults + 1 }
-  | Other { op_class = Divide } -> { acc with divides = acc.divides + 1 }
-  | Other { op_class = Alu } -> acc
+(* Mutable twin of [t]: streaming consumers count in place, allocating
+   nothing per record, and freeze once at the end. *)
+module Tally = struct
+  type summary = t
 
-let of_records records = Array.fold_left add zero records
+  type t = {
+    mutable total : int; mutable correct_path : int;
+    mutable wrong_path : int; mutable branches : int;
+    mutable cond_branches : int; mutable taken_branches : int;
+    mutable loads : int; mutable stores : int;
+    mutable mults : int; mutable divides : int;
+  }
+
+  let of_summary (s : summary) =
+    { total = s.total; correct_path = s.correct_path;
+      wrong_path = s.wrong_path; branches = s.branches;
+      cond_branches = s.cond_branches; taken_branches = s.taken_branches;
+      loads = s.loads; stores = s.stores; mults = s.mults;
+      divides = s.divides }
+
+  let create () = of_summary zero
+
+  let add t (record : Record.t) =
+    t.total <- t.total + 1;
+    if record.wrong_path then t.wrong_path <- t.wrong_path + 1
+    else t.correct_path <- t.correct_path + 1;
+    match record.payload with
+    | Branch { kind; taken; _ } ->
+        t.branches <- t.branches + 1;
+        (match kind with
+        | Cond -> t.cond_branches <- t.cond_branches + 1
+        | Jump | Call | Ret | Indirect -> ());
+        if taken then t.taken_branches <- t.taken_branches + 1
+    | Memory { is_load = true; _ } -> t.loads <- t.loads + 1
+    | Memory { is_load = false; _ } -> t.stores <- t.stores + 1
+    | Other { op_class = Mult } -> t.mults <- t.mults + 1
+    | Other { op_class = Divide } -> t.divides <- t.divides + 1
+    | Other { op_class = Alu } -> ()
+
+  let freeze t : summary =
+    { total = t.total; correct_path = t.correct_path;
+      wrong_path = t.wrong_path; branches = t.branches;
+      cond_branches = t.cond_branches; taken_branches = t.taken_branches;
+      loads = t.loads; stores = t.stores; mults = t.mults;
+      divides = t.divides }
+end
+
+let add acc record =
+  let tally = Tally.of_summary acc in
+  Tally.add tally record;
+  Tally.freeze tally
+
+let of_records records =
+  let tally = Tally.create () in
+  Array.iter (Tally.add tally) records;
+  Tally.freeze tally
 
 let wrong_path_fraction t =
   if t.total = 0 then 0.0 else float_of_int t.wrong_path /. float_of_int t.total

@@ -16,11 +16,22 @@ type t = {
 val zero : t
 
 val add : t -> Record.t -> t
-(** Incremental fold step — how streaming consumers (pull-based
-    engines, linters) accumulate a summary without materialising the
-    trace. [of_records] is [fold_left add zero]. *)
+(** Incremental fold step: [of_records] equals [fold_left add zero].
+    Each step builds a fresh summary; streaming consumers that see
+    every record count into a {!Tally} instead. *)
 
 val of_records : Record.t array -> t
+
+(** In-place counting for streams: {!Tally.add} allocates nothing; the
+    immutable {!t} is built once, by {!Tally.freeze}. *)
+module Tally : sig
+  type summary := t
+  type t
+
+  val create : unit -> t
+  val add : t -> Record.t -> unit
+  val freeze : t -> summary
+end
 
 val wrong_path_fraction : t -> float
 (** Fraction of trace records that are tagged — the paper reports this

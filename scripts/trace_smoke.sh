@@ -6,16 +6,24 @@
 #   1. Both foreign profiles (text, riscv) adapt, lint clean and
 #      simulate with nonzero synthesized wrong-path fetches; malformed
 #      input exits 1 with an RSM-A file:line diagnostic (never a
-#      backtrace) and a missing file exits 2 with RSM-T009.
-#   2. Streamed runs (--stream, chunked cursor) produce metrics
-#      byte-identical to the in-memory path, on counted files, on
-#      streamed-header files and through a pipe.
+#      backtrace) and a missing file exits 2 with RSM-T009. Damaged
+#      encoded files exit 3: a truncated payload with RSM-T002, its
+#      absolute byte offset and the --degraded hint, a bad magic with
+#      RSM-T001.
+#   2. Encoded traces always stream through the chunked cursor. A file
+#      run produces metrics byte-identical to the generator's in-memory
+#      array path (simulate -k K -s N) and the same non-zero
+#      bits/instruction; --stream is a no-op for encoded input; counted
+#      files, streamed-header files and pipes (-t -) agree.
 #   3. Sharded traces (tracegen --records-per-shard) lint clean shard
 #      by shard and simulate identically to the unsharded trace.
-#   4. Constant-memory guard: a 2M-record trace streams through the
-#      engine within a peak-RSS budget ~16x below what materializing
-#      it costs (measured: ~19 MB streamed vs ~300 MB in-memory), so a
-#      regression that silently materializes the stream fails the gate.
+#   4. A streamed run truncated by --max-cycles writes a checkpoint that
+#      --resume (which materializes the trace) completes to exactly the
+#      statistics of an uninterrupted run.
+#   5. Constant-memory guard: a 2M-record trace streams through the
+#      engine within a peak-RSS budget several times below what
+#      materializing it costs, so a regression that silently
+#      materializes the stream fails the gate.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -114,27 +122,73 @@ if grep -qi 'backtrace\|Fatal error' "$TMP/missing.out"; then
     fail=1
 fi
 
-# --- 2. streamed == in-memory -----------------------------------------
-
-timeout 120 "$CLI" tracegen -k gzip -s 4000 -o "$TMP/t.rtr" > /dev/null
-timeout 120 "$CLI" simulate -t "$TMP/t.rtr" --metrics "$TMP/a.json" \
-    > /dev/null
-timeout 120 "$CLI" simulate -t "$TMP/t.rtr" --stream \
-    --metrics "$TMP/b.json" > /dev/null
-if ! cmp -s "$TMP/a.json" "$TMP/b.json"; then
-    echo "FAIL streamed file: metrics differ from in-memory"
+# Damaged encoded files: the streamed default path keeps the
+# materialized path's fault surface (exit 3, RSM-T code, absolute byte
+# offset, the --degraded hint for payload damage).
+timeout 60 "$CLI" faultgen -k gzip -s 256 --fault truncate-payload \
+    -o "$TMP/cut.rtr" > /dev/null
+status=0
+timeout 60 "$CLI" simulate -t "$TMP/cut.rtr" > "$TMP/cut.out" 2>&1 \
+    || status=$?
+expect_exit "truncated trace simulate" 3 $status
+if ! grep -q 'RSM-T002' "$TMP/cut.out" \
+    || ! grep -q 'byte [0-9][0-9]*' "$TMP/cut.out" \
+    || ! grep -q 'rerun with --degraded resync' "$TMP/cut.out"; then
+    echo "FAIL truncated trace: no RSM-T002 byte-offset diagnostic with hint"
+    cat "$TMP/cut.out"
+    fail=1
+fi
+timeout 60 "$CLI" faultgen -k gzip -s 256 --fault bad-magic \
+    -o "$TMP/magic.rtr" > /dev/null
+status=0
+timeout 60 "$CLI" simulate -t "$TMP/magic.rtr" > "$TMP/magic.out" 2>&1 \
+    || status=$?
+expect_exit "bad-magic trace simulate" 3 $status
+if ! grep -q 'RSM-T001' "$TMP/magic.out"; then
+    echo "FAIL bad magic: no RSM-T001 diagnostic"
+    cat "$TMP/magic.out"
     fail=1
 fi
 
-# Streamed-header file (count unknown to the producer): both paths
-# again, plus the same trace through a pipe.
+# --- 2. file runs == the generator's in-memory path --------------------
+
+bits() {
+    # bits FILE -> the "trace encoding: X bits/instr" figure
+    sed -n 's/^trace encoding: \([0-9.]*\) bits\/instr$/\1/p' "$1"
+}
+
+timeout 120 "$CLI" tracegen -k gzip -s 4000 -o "$TMP/t.rtr" > /dev/null
+timeout 120 "$CLI" simulate -k gzip -s 4000 --metrics "$TMP/k.json" \
+    > "$TMP/k.out"
+timeout 120 "$CLI" simulate -t "$TMP/t.rtr" --metrics "$TMP/a.json" \
+    > "$TMP/a.out"
+timeout 120 "$CLI" simulate -t "$TMP/t.rtr" --stream \
+    --metrics "$TMP/b.json" > "$TMP/b.out"
+if ! cmp -s "$TMP/k.json" "$TMP/a.json"; then
+    echo "FAIL file run: metrics differ from the in-memory kernel run"
+    fail=1
+fi
+if ! cmp -s "$TMP/a.json" "$TMP/b.json"; then
+    echo "FAIL file run: --stream changes the metrics"
+    fail=1
+fi
+kbits=$(bits "$TMP/k.out")
+if [ -z "$kbits" ] || [ "$kbits" = "0.00" ] \
+    || [ "$(bits "$TMP/a.out")" != "$kbits" ] \
+    || [ "$(bits "$TMP/b.out")" != "$kbits" ]; then
+    echo "FAIL bits/instr: kernel $kbits, file $(bits "$TMP/a.out"), --stream $(bits "$TMP/b.out")"
+    fail=1
+fi
+
+# Streamed-header file (count unknown to the producer): with and
+# without --stream, plus the same trace through a pipe.
 timeout 120 "$CLI" tracegen --stream --limit 50000 -k gzip \
     > "$TMP/s.rtr" 2> /dev/null
 timeout 120 "$CLI" simulate -t "$TMP/s.rtr" --metrics "$TMP/sa.json" \
     > /dev/null
 timeout 120 "$CLI" simulate -t "$TMP/s.rtr" --stream \
     --metrics "$TMP/sb.json" > /dev/null
-timeout 120 "$CLI" simulate --stream -t - --metrics "$TMP/sc.json" \
+timeout 120 "$CLI" simulate -t - --metrics "$TMP/sc.json" \
     < "$TMP/s.rtr" > /dev/null
 if ! cmp -s "$TMP/sa.json" "$TMP/sb.json" \
     || ! cmp -s "$TMP/sa.json" "$TMP/sc.json"; then
@@ -164,11 +218,29 @@ if ! cmp -s "$TMP/a.json" "$TMP/c.json"; then
     fail=1
 fi
 
-# --- 4. constant-memory guard ------------------------------------------
+# --- 4. checkpoint on the streamed path, resume on the array ------------
 
-# 2M records: materializing costs ~300 MB peak RSS; the streamed path
-# was measured at ~19 MB. Budget 64 MB — a silent materialization (or
-# an unbounded refill buffer) blows through it.
+# CSV metrics: the counters only, without the engine-identity splice
+# (resume replays on the generic engine).
+timeout 120 "$CLI" simulate -t "$TMP/t.rtr" --metrics "$TMP/full.csv" \
+    > /dev/null
+timeout 120 "$CLI" simulate -t "$TMP/t.rtr" --max-cycles 20000 \
+    --checkpoint "$TMP/c.rscp" > /dev/null
+status=0
+timeout 120 "$CLI" simulate -t "$TMP/t.rtr" --resume "$TMP/c.rscp" \
+    --metrics "$TMP/resumed.csv" > /dev/null 2>&1 || status=$?
+expect_exit "resume from a streamed checkpoint" 0 $status
+if ! cmp -s "$TMP/full.csv" "$TMP/resumed.csv"; then
+    echo "FAIL checkpoint round trip: resumed stats differ from an uninterrupted run"
+    fail=1
+fi
+
+# --- 5. constant-memory guard ------------------------------------------
+
+# 2M records: materializing them costs well over 200 MB peak RSS (the
+# --sample/--resume path still does); the streamed path was measured
+# at ~19 MB. Budget 64 MB — a silent materialization (or an unbounded
+# refill buffer) blows through it.
 RSS_BUDGET_KB=65536
 timeout 300 "$CLI" tracegen --stream --limit 2000000 -k gzip \
     > "$TMP/big.rtr" 2> /dev/null
@@ -176,7 +248,7 @@ timeout 300 "$CLI" tracegen --stream --limit 2000000 -k gzip \
 # Background the CLI directly (no `timeout` wrapper: $pid must be the
 # simulator itself for /proc VmHWM); the poll loop doubles as the
 # watchdog.
-"$CLI" simulate --stream -t "$TMP/big.rtr" \
+"$CLI" simulate -t "$TMP/big.rtr" \
     --metrics "$TMP/p.json" > /dev/null 2>&1 &
 pid=$!
 peak=0
@@ -210,4 +282,4 @@ if [ "$fail" -ne 0 ]; then
     echo "trace smoke: FAILED"
     exit 1
 fi
-echo "trace smoke: OK (foreign formats, streamed==in-memory, shards, peak RSS ${peak} kB <= ${RSS_BUDGET_KB} kB)"
+echo "trace smoke: OK (foreign formats, damaged files, file==in-memory, shards, checkpoint round trip, peak RSS ${peak} kB <= ${RSS_BUDGET_KB} kB)"

@@ -70,46 +70,99 @@ let robust_exn label = function
   | Error failure ->
       Alcotest.failf "%s: %s" label (Resim.failure_to_string failure)
 
+let open_path_exn label path =
+  match Stream.open_path ~chunk:512 path with
+  | Ok stream -> stream
+  | Error e ->
+      Alcotest.failf "%s: open_path: %s" label (Codec.error_to_string e)
+
+let pulled label ~config path =
+  let stream = open_path_exn label path in
+  Fun.protect
+    ~finally:(fun () -> Stream.close stream)
+    (fun () ->
+      robust_exn label
+        (Resim.simulate_pull_robust ~config (fun () -> Stream.next stream)))
+
+let write_streamed ~format path records =
+  let oc = open_out_bin path in
+  let encoder = Codec.Encoder.to_channel ~format oc in
+  Array.iter (Codec.Encoder.push encoder) records;
+  Codec.Encoder.close encoder;
+  close_out oc
+
+(* The pull run must report what the array run reports: the same
+   statistics, trace summary and Fixed-format bits/instruction. *)
+let check_same_outcome label (reference : Resim.robust) (run : Resim.robust) =
+  check i64
+    (label ^ ": major cycles")
+    (Stats.get Stats.major_cycles reference.outcome.stats)
+    (Stats.get Stats.major_cycles run.outcome.stats);
+  check string
+    (label ^ ": full stats dump")
+    (stats_dump reference.outcome.stats)
+    (stats_dump run.outcome.stats);
+  check bool (label ^ ": trace summary") true
+    (reference.outcome.trace_summary = run.outcome.trace_summary);
+  check (Alcotest.float 0.0)
+    (label ^ ": bits/instruction")
+    reference.outcome.bits_per_instruction run.outcome.bits_per_instruction
+
+let format_name = function Codec.Fixed -> "fixed" | Codec.Compact -> "compact"
+
+let with_compact_shards records f =
+  let stem = Filename.temp_file "resim_frontier_diff" "" in
+  Sys.remove stem;
+  let shards =
+    Codec.Shard.write ~format:Codec.Compact ~records_per_shard:1000 ~stem
+      records
+  in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove shards)
+    (fun () -> f stem shards)
+
+(* Array reference: simulate_robust on the decoded trace. Pull runs:
+   Stream.open_path over a counted Compact file on both schedulers and,
+   on the reference scheduler, over a counted Fixed file, streamed-header
+   files in both formats and (first kernel only) a shard set. *)
 let test_streamed_matches_in_memory () =
-  List.iter
-    (fun (name, records) ->
+  List.iteri
+    (fun index (name, records) ->
       with_tmp ~suffix:".rtr" (fun path ->
-          Codec.write_file ~format:Codec.Compact path records;
+          Codec.write_file ~format:Codec.Fixed path records;
+          let decoded, _ = Codec.read_file path in
+          check bool (name ^ ": decoded = generated") true (decoded = records);
           List.iter
             (fun scheduler ->
-              let label =
-                Printf.sprintf "%s/%s" name
-                  (match scheduler with
-                  | Config.Scan -> "scan"
-                  | Config.Event -> "event")
-              in
               let config = with_scheduler scheduler Config.reference in
-              let in_memory =
-                robust_exn label (Resim.simulate_robust ~config records)
+              let label = name ^ "/" ^ Config.scheduler_name scheduler in
+              let reference =
+                robust_exn label (Resim.simulate_robust ~config decoded)
               in
-              let stream =
-                match Stream.open_file ~chunk:512 path with
-                | Ok stream -> stream
-                | Error e ->
-                    Alcotest.failf "%s: open_file: %s" label
-                      (Codec.error_to_string e)
-              in
-              let streamed =
-                Fun.protect
-                  ~finally:(fun () -> Stream.close stream)
-                  (fun () ->
-                    robust_exn label
-                      (Resim.simulate_pull_robust ~config (fun () ->
-                           Stream.next stream)))
-              in
-              check i64
-                (label ^ ": major cycles")
-                (Stats.get Stats.major_cycles in_memory.outcome.stats)
-                (Stats.get Stats.major_cycles streamed.outcome.stats);
-              check string
-                (label ^ ": full stats dump")
-                (stats_dump in_memory.outcome.stats)
-                (stats_dump streamed.outcome.stats))
+              let bits = reference.outcome.bits_per_instruction in
+              check bool (label ^ ": fixed bits/instruction") true
+                (bits > 0.0 && bits = Codec.bits_per_instruction decoded);
+              Codec.write_file ~format:Codec.Compact path records;
+              check_same_outcome (label ^ "/compact") reference
+                (pulled label ~config path);
+              if scheduler = Config.reference.scheduler then begin
+                Codec.write_file ~format:Codec.Fixed path records;
+                check_same_outcome (label ^ "/fixed") reference
+                  (pulled label ~config path);
+                List.iter
+                  (fun format ->
+                    write_streamed ~format path records;
+                    check_same_outcome
+                      (label ^ "/streamed-" ^ format_name format)
+                      reference (pulled label ~config path))
+                  [ Codec.Fixed; Codec.Compact ];
+                if index = 0 then
+                  with_compact_shards records (fun stem shards ->
+                      check bool (label ^ ": several shards") true
+                        (List.length shards > 1);
+                      check_same_outcome (label ^ "/shards") reference
+                        (pulled label ~config stem))
+              end)
             [ Config.Scan; Config.Event ]))
     (Lazy.force kernel_records)
 

@@ -85,6 +85,57 @@ let bitio_roundtrip_property =
           Bitio.Reader.get r ~bits = masked)
         fields)
 
+(* The bytewise reader against a bit-at-a-time model of the same
+   stream: every value, [bits_consumed] and [byte_position] must agree,
+   whatever the refill chunking, and [Out_of_bits] must come at the
+   same read and leave the reader at the end of the stream. *)
+let bitio_bytewise_matches_bitwise_property =
+  QCheck.Test.make
+    ~name:"bitio: bytewise get matches a bit-at-a-time reference"
+    ~count:300
+    QCheck.(
+      triple
+        (string_of_size (Gen.int_range 0 48))
+        (int_range 1 17)
+        (list_of_size (Gen.int_range 1 24) (int_range 1 62)))
+    (fun (data, chunk, widths) ->
+      let length = 8 * String.length data in
+      let bit_at i = (Char.code data.[i / 8] lsr (7 - (i mod 8))) land 1 in
+      let expected at bits =
+        let value = ref 0 in
+        for i = at to at + bits - 1 do
+          value := (!value lsl 1) lor bit_at i
+        done;
+        !value
+      in
+      let chunked () =
+        let at = ref 0 in
+        Bitio.Reader.of_refill (fun () ->
+            let n = min chunk (String.length data - !at) in
+            let piece = String.sub data !at n in
+            at := !at + n;
+            piece)
+      in
+      let agrees r =
+        let rec go at = function
+          | [] -> true
+          | bits :: rest ->
+              if at + bits <= length then
+                Bitio.Reader.get r ~bits = expected at bits
+                && Bitio.Reader.bits_consumed r = at + bits
+                && Bitio.Reader.byte_position r = (at + bits) / 8
+                && go (at + bits) rest
+              else
+                (match Bitio.Reader.get r ~bits with
+                | _ -> false
+                | exception Bitio.Reader.Out_of_bits -> true)
+                && Bitio.Reader.bits_consumed r = length
+                && Bitio.Reader.byte_position r = String.length data
+        in
+        go 0 widths
+      in
+      agrees (Bitio.Reader.create data) && agrees (chunked ()))
+
 (* --- records ------------------------------------------------------------ *)
 
 let sample_records =
@@ -271,6 +322,39 @@ let codec_encode_deterministic_property =
       && Codec.encode ~format:Codec.Compact records
          = Codec.encode ~format:Codec.Compact records)
 
+(* [encoded_bits] sizes records without encoding them; it must agree
+   with what the encoder actually writes. *)
+let encoded_bits_agree format records =
+  let _, written = Codec.payload_string ~format records in
+  Codec.encoded_bits ~format records = written
+
+let test_encoded_bits_on_kernels () =
+  List.iter
+    (fun kernel ->
+      let records =
+        Resim_tracegen.Generator.records
+          (Resim_workloads.Workload.program_of kernel ())
+      in
+      List.iter
+        (fun format ->
+          let name = Resim_workloads.Workload.name_of kernel in
+          check bool
+            (Printf.sprintf "%s/%s" name
+               (match format with Codec.Fixed -> "fixed" | Compact -> "compact"))
+            true
+            (encoded_bits_agree format records))
+        [ Codec.Fixed; Codec.Compact ])
+    (Resim_workloads.Workload.all @ Resim_workloads.Workload.extended)
+
+let encoded_bits_property =
+  QCheck.Test.make
+    ~name:"codec: encoded_bits equals the written payload length"
+    ~count:60
+    (QCheck.make record_gen)
+    (fun records ->
+      encoded_bits_agree Codec.Fixed records
+      && encoded_bits_agree Codec.Compact records)
+
 (* --- profile ---------------------------------------------------------- *)
 
 let profile_records =
@@ -355,6 +439,7 @@ let suite =
        Alcotest.test_case "contents is idempotent" `Quick
          test_bitio_contents_idempotent;
        QCheck_alcotest.to_alcotest bitio_roundtrip_property;
+       QCheck_alcotest.to_alcotest bitio_bytewise_matches_bitwise_property;
        QCheck_alcotest.to_alcotest bitio_contents_pure_property ]);
     ("trace:record",
      [ Alcotest.test_case "predicates" `Quick test_record_predicates;
@@ -377,7 +462,10 @@ let suite =
        QCheck_alcotest.to_alcotest
          (codec_roundtrip_property Codec.Compact
             "codec: compact encoding round-trips random traces");
-       QCheck_alcotest.to_alcotest codec_encode_deterministic_property ]);
+       QCheck_alcotest.to_alcotest codec_encode_deterministic_property;
+       Alcotest.test_case "encoded_bits on every kernel" `Quick
+         test_encoded_bits_on_kernels;
+       QCheck_alcotest.to_alcotest encoded_bits_property ]);
     ("trace:profile",
      [ Alcotest.test_case "hot branches" `Quick test_profile_hot_branches;
        Alcotest.test_case "pages and mix" `Quick test_profile_pages_and_mix;
