@@ -1,6 +1,6 @@
 # Convenience targets; the source of truth is dune.
 
-.PHONY: all build test check lint dsafe dsafe-smoke bench faultsmoke obs-smoke obs-guard sample-smoke spec-smoke serve-smoke trace-smoke bench-service
+.PHONY: all build test check lint dsafe dsafe-smoke bench faultsmoke obs-smoke obs-guard sample-smoke serve-smoke trace-smoke bench-service
 
 # Wall-clock guard on the PR gate: a hang in any step (the very class
 # of bug the robustness layer exists to prevent) fails the gate after
@@ -41,8 +41,8 @@ dsafe-smoke: build
 # fault-injection smoke (every corruption class through the CLI), the
 # observability smoke (pipetrace + metrics + schema + profile), the
 # sampled-simulation smoke (--sample end to end, determinism, spec
-# grammar, sampled sweep), and the specialization smoke
-# (--no-specialize bit-identity across every CLI surface).
+# grammar, sampled sweep), the resimd smoke and the trace-frontier
+# smoke.
 check:
 	$(TIMEOUT) 300 dune build @fmt
 	$(TIMEOUT) 900 dune build
@@ -54,7 +54,6 @@ check:
 	$(MAKE) faultsmoke
 	$(MAKE) obs-smoke
 	$(MAKE) sample-smoke
-	$(MAKE) spec-smoke
 	$(MAKE) serve-smoke
 	$(MAKE) trace-smoke
 
@@ -72,12 +71,6 @@ obs-smoke: build
 # determinism, spec grammar) and one sampled sweep (DESIGN.md §13).
 sample-smoke: build
 	$(TIMEOUT) 900 sh scripts/sample_smoke.sh
-
-# Engine specialization end to end (DESIGN.md §14): default runs pick
-# a staged variant, --no-specialize forces the generic engine, and
-# statistics/pipetrace/metrics are bit-identical either way.
-spec-smoke: build
-	$(TIMEOUT) 900 sh scripts/spec_smoke.sh
 
 # resimd end to end (DESIGN.md §16): daemon up, simulate/sweep/lint
 # jobs over the wire with the documented exit codes, cache hit on

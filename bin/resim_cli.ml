@@ -77,23 +77,6 @@ let width_arg =
     value & opt int 4
     & info [ "w"; "width" ] ~docv:"N" ~doc:"Issue width of the processor.")
 
-(* Shared by simulate/profile/sweep/bench: the escape hatch for the
-   engine-specialization layer (DESIGN.md §14). Variants are
-   bit-identical to the generic engine by contract, so this only
-   trades host speed for the reference implementation. *)
-let no_specialize_arg =
-  Arg.(
-    value & flag
-    & info [ "no-specialize" ]
-        ~doc:"Force the generic engine: skip staged-variant \
-              installation even when the configuration matches a \
-              pre-compiled grid point. Results are bit-identical \
-              either way (the differential suite proves it); use this \
-              to cross-check or to time the generic path.")
-
-let spec_mode_of_flag no_specialize =
-  if no_specialize then Resim_spec.Spec.Never else Resim_spec.Spec.Auto
-
 let program_arg =
   Arg.(
     value
@@ -431,34 +414,9 @@ let report_adapter_stats ~file adapter =
     file stats.Adapter.lines stats.instructions stats.wrong_path
     stats.mispredicted
 
-(* Mirror of [Sample.splice_metrics]: inject the engine identity into
-   the stats JSON object, so every metrics document says which engine
-   implementation (generic or a staged variant, DESIGN.md §14)
-   produced it. *)
-let splice_engine_identity ~variant stats_json =
-  let n = ref (String.length stats_json) in
-  while
-    !n > 0
-    &&
-    match stats_json.[!n - 1] with
-    | ' ' | '\t' | '\n' | '\r' -> true
-    | _ -> false
-  do
-    decr n
-  done;
-  if !n = 0 || stats_json.[!n - 1] <> '}' then
-    invalid_arg "splice_engine_identity: not a JSON object";
-  String.sub stats_json 0 (!n - 1)
-  ^ Printf.sprintf ",\n  \"specialized\": %b,\n  \"variant\": %s\n}\n"
-      (match variant with Some _ -> true | None -> false)
-      (match variant with
-      | Some name -> Resim_core.Json.quote name
-      | None -> "null")
-
 let simulate workload scale source_file trace_file trace_format stream
     perfect_bp caches max_cycles timeout checkpoint_out resume_file
-    degraded pipetrace_out waterfall_window metrics_out sample
-    no_specialize =
+    degraded pipetrace_out waterfall_window metrics_out sample =
   let sample_spec =
     match sample with
     | None -> None
@@ -620,7 +578,6 @@ let simulate workload scale source_file trace_file trace_format stream
         Format.printf "wrote pipetrace %s@." path
     | Some _ | None -> ()
   in
-  let engine_variant = ref None in
   let write_metrics ?report stats =
     match metrics_out with
     | None -> ()
@@ -630,10 +587,7 @@ let simulate workload scale source_file trace_file trace_format stream
             Resim_core.Stats.csv_header () ^ "\n"
             ^ Resim_core.Stats.csv_row stats ^ "\n"
           else
-            let stats_json =
-              splice_engine_identity ~variant:!engine_variant
-                (Resim_core.Stats.to_json stats)
-            in
+            let stats_json = Resim_core.Stats.to_json stats in
             match report with
             | None -> stats_json
             | Some report ->
@@ -688,19 +642,10 @@ let simulate workload scale source_file trace_file trace_format stream
             fun () -> Unix.gettimeofday () > limit)
           timeout
       in
-      (* One instrument hook does both attachments: specialization
-         first (it only swaps the stepper), then the observability
-         sinks. With no sinks the engine keeps its observer-free hot
-         path — staged variants preserve the zero-sink fast path. *)
+      (* With no sinks the engine keeps its observer-free hot path. *)
       let instrument =
-        Some
-          (fun engine ->
-            ignore
-              (Resim_spec.Spec.install
-                 ~mode:(spec_mode_of_flag no_specialize) engine
-                : bool);
-            engine_variant := Resim_core.Engine.variant engine;
-            if sinks <> [] then Resim_obs.Obs.attach engine sinks)
+        if sinks = [] then None
+        else Some (fun engine -> Resim_obs.Obs.attach engine sinks)
       in
       let fail failure =
         (* Flush the partial pipetrace — the events up to the fault
@@ -716,9 +661,6 @@ let simulate workload scale source_file trace_file trace_format stream
       in
       let conclude ?report robust =
         close_sinks ();
-        (match !engine_variant with
-        | Some name -> Format.printf "engine: specialized (%s)@." name
-        | None -> ());
         (match robust.Resim_core.Resim.stop with
         | Resim_core.Engine.Drained -> ()
         | Resim_core.Engine.Cycle_budget ->
@@ -912,7 +854,7 @@ let simulate_cmd =
       const simulate $ kernel_arg $ scale_arg $ program_arg $ trace_file
       $ adapter_format_arg $ stream $ perfect_bp $ caches $ max_cycles
       $ timeout $ checkpoint_out $ resume_file $ degraded $ pipetrace
-      $ waterfall $ metrics $ sample $ no_specialize_arg)
+      $ waterfall $ metrics $ sample)
 
 (* --- area ----------------------------------------------------------- *)
 
@@ -1012,7 +954,7 @@ let ptrace_cmd =
 
 (* --- profile ---------------------------------------------------------- *)
 
-let profile workload scale source_file trace_file json no_specialize =
+let profile workload scale source_file trace_file json =
   let records =
     match trace_file with
     | Some path -> read_encoded path
@@ -1026,18 +968,9 @@ let profile workload scale source_file trace_file json no_specialize =
   (* The phase-probe closer charges the span still open when the run
      ends; simulate_robust owns the engine, so capture it here. *)
   let closer = ref (fun () -> ()) in
-  let engine_variant = ref None in
   let result =
     Resim_core.Resim.simulate_robust ~config
       ~instrument:(fun engine ->
-        (* Specialize first so the probes measure the engine that
-           really runs; staged steppers fire the same per-phase probe
-           sites as the generic engine, so attribution is unchanged. *)
-        ignore
-          (Resim_spec.Spec.install ~mode:(spec_mode_of_flag no_specialize)
-             engine
-            : bool);
-        engine_variant := Resim_core.Engine.variant engine;
         closer := Resim_obs.Prof.instrument_engine prof engine)
       records
   in
@@ -1049,13 +982,9 @@ let profile workload scale source_file trace_file json no_specialize =
       exit fault_exit
   | Ok robust ->
       let stats = robust.Resim_core.Resim.outcome.Resim_core.Resim.stats in
-      Format.printf "%Ld major cycles, %Ld instructions committed@."
+      Format.printf "%Ld major cycles, %Ld instructions committed@.@."
         (Resim_core.Stats.get Resim_core.Stats.major_cycles stats)
         (Resim_core.Stats.get Resim_core.Stats.committed stats);
-      Format.printf "engine: %s@.@."
-        (match !engine_variant with
-        | Some name -> "specialized (" ^ name ^ ")"
-        | None -> "generic");
       Format.printf "%a@." Resim_obs.Prof.pp prof;
       (match json with
       | Some path ->
@@ -1063,13 +992,7 @@ let profile workload scale source_file trace_file json no_specialize =
           Fun.protect
             ~finally:(fun () -> close_out channel)
             (fun () ->
-              output_string channel
-                (Resim_obs.Prof.to_json
-                   ~specialized:
-                     (match !engine_variant with
-                     | Some _ -> true
-                     | None -> false)
-                   ?variant:!engine_variant prof));
+              output_string channel (Resim_obs.Prof.to_json prof));
           Format.printf "wrote profile %s@." path
       | None -> ())
 
@@ -1096,7 +1019,7 @@ let profile_cmd =
              stay representative)")
     Term.(
       const profile $ kernel_arg $ scale_arg $ program_arg $ trace_file
-      $ json $ no_specialize_arg)
+      $ json)
 
 (* --- vhdl ------------------------------------------------------------- *)
 
@@ -1166,7 +1089,7 @@ let dedupe_jobs jobs =
     jobs
 
 let sweep jobs quick keep_going timeout max_cycles retries metrics_out
-    profile_pool sample no_specialize =
+    profile_pool sample =
   let sample_spec =
     match sample with
     | None -> None
@@ -1218,13 +1141,7 @@ let sweep jobs quick keep_going timeout max_cycles retries metrics_out
   in
   let started = Unix.gettimeofday () in
   let report =
-    (* Each worker domain installs the matching staged variant on its
-       own engines (Auto falls back to generic off-grid); results are
-       bit-identical at any mode, so this only buys wall clock. *)
-    Resim_sweep.Sweep.run ~strict:(not keep_going) ~policy ?prof ~jobs
-      ~instrument:
-        (Resim_spec.Spec.instrument (spec_mode_of_flag no_specialize))
-      grid
+    Resim_sweep.Sweep.run ~strict:(not keep_going) ~policy ?prof ~jobs grid
   in
   let wall = Unix.gettimeofday () -. started in
   let results = Resim_sweep.Sweep.completed report in
@@ -1335,11 +1252,11 @@ let sweep_cmd =
        ~doc:"Run the full ablation grid as a domain-parallel sweep")
     Term.(
       const sweep $ jobs $ quick $ keep_going $ timeout $ max_cycles
-      $ retries $ metrics $ profile_pool $ sample $ no_specialize_arg)
+      $ retries $ metrics $ profile_pool $ sample)
 
 (* --- bench ----------------------------------------------------------- *)
 
-let bench json quick no_specialize =
+let bench json quick =
   (* The bench grid runs exactly these two configurations. *)
   ensure_valid_config ~context:"bench reference"
     Resim_core.Config.reference;
@@ -1347,20 +1264,6 @@ let bench json quick no_specialize =
     Resim_core.Config.fast_comparable;
   let measurements = Resim_reports.Hostbench.measure ~quick () in
   Format.printf "%a@." Resim_reports.Hostbench.pp_table measurements;
-  (* Staged-variant grid, timed against the generic measurements just
-     taken (same traces, same protocol) so the speedup column isolates
-     what installation buys. --no-specialize drops the section. *)
-  let specialized =
-    if no_specialize then None
-    else begin
-      let specialized =
-        Resim_reports.Hostbench.measure_specialized ~quick measurements
-      in
-      Format.printf "%a@." Resim_reports.Hostbench.pp_specialized
-        specialized;
-      Some specialized
-    end
-  in
   let sampled = Resim_reports.Hostbench.measure_sampled ~quick () in
   Format.printf "%a@." Resim_reports.Hostbench.pp_sampled sampled;
   (* Full runs also sweep the (default-scale) ablation grid through the
@@ -1377,12 +1280,7 @@ let bench json quick no_specialize =
                  Resim_sweep.Sweep.scale = Resim_sweep.Sweep.Default })
              (Resim_reports.Ablations.requests ()))
       in
-      let report =
-        Resim_sweep.Sweep.run
-          ~instrument:
-            (Resim_spec.Spec.instrument (spec_mode_of_flag no_specialize))
-          grid
-      in
+      let report = Resim_sweep.Sweep.run grid in
       let counts = Resim_sweep.Sweep.counts report in
       Format.printf
         "sweep outcomes (%d job(s)): %d ok, %d failed, %d timed out, \
@@ -1395,7 +1293,7 @@ let bench json quick no_specialize =
   match json with
   | Some path ->
       Resim_reports.Hostbench.write_json ~path ?sweep_outcomes ~sampled
-        ?specialized measurements;
+        measurements;
       Format.printf "wrote %s@." path
   | None -> ()
 
@@ -1419,7 +1317,7 @@ let bench_cmd =
     (Cmd.info "bench"
        ~doc:"Measure engine host throughput per (kernel, config, \
              scheduler)")
-    Term.(const bench $ json $ quick $ no_specialize_arg)
+    Term.(const bench $ json $ quick)
 
 (* --- lint ------------------------------------------------------------ *)
 

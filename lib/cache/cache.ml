@@ -35,8 +35,8 @@ type stats = {
 (* Counters are host ints (widened to int64 on read): [access] sits on
    the engine's per-fetch/per-load path, and boxed [Int64.add] would
    allocate twice per access. They live in their own record so the
-   engine specialization layer (DESIGN.md §14) can bump a perfect
-   cache's counters inline without the tag/set state being exposed. *)
+   production engine cycle (DESIGN.md §8) can bump a perfect cache's
+   counters inline without the tag/set state being exposed. *)
 type counters = {
   mutable clock : int;
   mutable accesses : int;

@@ -25,13 +25,14 @@ val minor_cycles_per_major : organization -> width:int -> int
 
 (** Host-side scheduling strategy of the timing engine. Both produce
     bit-identical cycle counts and statistics — a property the
-    differential test suite enforces; they differ only in host cost.
-    [Scan] is the reference oracle: every phase walks the whole ROB/LSQ
-    each major cycle. [Event] only touches state that can change in the
-    current cycle (completion heap, producer→consumer wakeup lists, a
-    ready pool, incremental LSQ reclassification). *)
+    differential test suite enforces against the Scan oracle
+    ({!Engine.reference_step}); they differ only in host cost. [Scan]
+    walks the whole ROB/LSQ in every phase of each major cycle. [Event]
+    only touches state that can change in the current cycle
+    (completion heap, producer→consumer wakeup lists, a ready pool,
+    incremental LSQ reclassification). *)
 type scheduler =
-  | Scan   (** O(ROB·N + LSQ²) per cycle; the reference implementation *)
+  | Scan   (** O(ROB·N + LSQ²) per cycle *)
   | Event  (** O(active) per cycle; the default *)
 
 val scheduler_name : scheduler -> string

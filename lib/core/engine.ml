@@ -119,14 +119,13 @@ type fetched = {
 
 type t = {
   config : Config.t;
-  (* Frozen per-run constants hoisted out of the per-cycle loops at
+  (* Per-run constants hoisted out of the per-cycle loops at
      construction time: a [Config] field read costs a pointer chase and
      [is_optimized]/[minor_cycles_per_major]/[icache_block_bytes] a
-     match per call site, and the hot phases consult them every cycle.
-     The configuration cannot change for the life of the run, so they
-     are plain immutable fields here (ROADMAP item 3). *)
+     match per call site. The oracle phases and the helpers both cycles
+     share ([fetch_control], functional warm-up) read them; the
+     configuration cannot change for the life of the run. *)
   s_width : int;
-  s_event : bool;     (* scheduler = Event *)
   s_optimized : bool; (* organization = Optimized *)
   s_read_ports : int;
   s_write_ports : int;
@@ -142,21 +141,6 @@ type t = {
   lsq : Lsq.t;
   rename : Rename.t;
   fu : Fu.t;
-  (* Event-scheduler state (unused in Scan mode). [completion] holds
-     issued entries keyed by (complete_at, id); [due] holds completed
-     executions awaiting a broadcast slot, keyed by (0, id) so the
-     paper's oldest-first broadcast order is preserved when more than N
-     results are due; [ready] is the issue pool, also in (0, id) order.
-     Squashed entries are dropped lazily when popped. *)
-  completion : Entry.t Event_queue.t;
-  due : Entry.t Event_queue.t;
-  ready : Entry.t Event_queue.t;
-  (* Scratch buffer the event issue phase drains the ready pool into —
-     reused every cycle so issue allocates no per-cycle list. Stale
-     references past [candidate_count] are bounded by the ROB capacity
-     and overwritten on reuse, the Ring storage policy. *)
-  mutable candidates : Entry.t array;
-  mutable candidate_count : int;
   predictor : Bpred.Predictor.t;
   icache : Hierarchy.t;
   dcache : Hierarchy.t;
@@ -176,75 +160,15 @@ type t = {
   mutable fetch_enabled : bool;
   mutable observer : (event -> unit) option;
   mutable phase_probe : (phase -> unit) option;
-  (* Which per-cycle implementation {!step} runs: the generic engine,
-     or a staged variant installed by the specialization layer
-     ({!Staged} / [Resim_spec.Spec]). Variants are proven bit-identical
-     to the generic engine by the differential suite; [Generic] is
-     always a safe fallback. *)
-  mutable stepper : stepper;
+  (* The production cycle, built once by [create_from_source] from the
+     configuration ([make_cycle]); {!step} calls it. Set right after the
+     record is allocated and never reassigned. *)
+  mutable cycle_fn : unit -> unit;
 }
-
-and stepper = Generic | Specialized of { name : string; run : t -> unit }
 
 let block_bytes_of_cache = function
   | Cache.Perfect -> 64
   | Cache.Set_associative { block_bytes; _ } -> block_bytes
-
-let create_from_source ?(config = Config.reference) source =
-  let config =
-    match Config.validate config with
-    | Ok config -> config
-    | Error message -> invalid_arg ("Engine.create: " ^ message)
-  in
-  let shared_l2 =
-    Option.map
-      (fun l2_config -> Cache.create ~timing:config.l2_timing l2_config)
-      config.l2cache
-  in
-  { config;
-    s_width = config.width;
-    s_event =
-      (match config.scheduler with
-      | Config.Event -> true
-      | Config.Scan -> false);
-    s_optimized = Config.is_optimized config.organization;
-    s_read_ports = config.mem_read_ports;
-    s_write_ports = config.mem_write_ports;
-    s_misfetch_penalty = config.misfetch_penalty;
-    s_misspeculation_penalty = config.misspeculation_penalty;
-    s_minor_latency = Config.minor_cycle_latency config;
-    s_block_bytes = block_bytes_of_cache config.icache;
-    source;
-    cursor = 0;
-    ifq = Ring.create ~capacity:config.ifq_entries;
-    decouple = Ring.create ~capacity:config.decouple_entries;
-    rob = Rob.create ~entries:config.rob_entries;
-    lsq = Lsq.create ~entries:config.lsq_entries;
-    rename = Rename.create ~registers:Resim_isa.Reg.count;
-    fu = Fu.create config;
-    completion = Event_queue.create ();
-    due = Event_queue.create ();
-    ready = Event_queue.create ();
-    candidates = [||];
-    candidate_count = 0;
-    predictor = Bpred.Predictor.create config.predictor;
-    icache =
-      Hierarchy.create ~timing:config.cache_timing config.icache ~l2:shared_l2;
-    dcache =
-      Hierarchy.create ~timing:config.cache_timing config.dcache ~l2:shared_l2;
-    l2cache = shared_l2;
-    stats = Stats.create ();
-    cycle = 0;
-    fetch_stall = 0;
-    fetch_stall_source = Recover_mispredict;
-    fetch_mode = Normal;
-    last_fetch_block = -1;
-    fetch_enabled = true;
-    observer = None;
-    phase_probe = None;
-    stepper = Generic }
-
-let create ?config trace = create_from_source ?config (Source.of_array trace)
 
 let config t = t.config
 let stats t = t.stats
@@ -254,17 +178,6 @@ let l2cache t = t.l2cache
 let predictor t = t.predictor
 let cycle t = Int64.of_int t.cycle
 let minor_cycles t = Int64.of_int (t.cycle * t.s_minor_latency)
-
-let set_stepper t ~name run = t.stepper <- Specialized { name; run }
-let clear_stepper t = t.stepper <- Generic
-
-let is_specialized t =
-  match t.stepper with Generic -> false | Specialized _ -> true
-
-let variant t =
-  match t.stepper with
-  | Generic -> None
-  | Specialized { name; _ } -> Some name
 
 let set_observer t observer = t.observer <- Some observer
 
@@ -300,90 +213,15 @@ let finished t =
   (not (Source.has t.source t.cursor)) && pipeline_empty t
 
 (* ------------------------------------------------------------------ *)
-(* Event scheduler: touch only state that can change this cycle.
-   Correctness invariants (proved against the Scan oracle by the
-   differential suite):
-   - broadcast selection is the N oldest entries whose execution is due,
-     exactly as the oldest-first ROB scan picks them;
-   - the ready pool holds exactly the entries the scan's [try_issue]
-     would act on (issue, allocate a unit, or charge a port stall), in
-     the same oldest-first order;
-   - a load's readiness is reclassified on every change of its
-     classification inputs (its own sources, an older store's
-     address/data, a store's retirement), so its value at issue time
-     equals the per-cycle Lsq_refresh result. *)
+(* The Scan oracle: the timing model (DESIGN.md §4, §8) written plainly,
+   with [ref] loop state, closure walks over the ROB and accessor calls.
+   No simulator path runs it. {!reference_step} exposes it to the
+   differential suite (test_spec.ml), which holds the production cycle
+   ([make_cycle] below, under both schedulers) to bit-identity with it.
+   [fetch_control] and [burn_fetch_stall] are shared by both. *)
 
-let[@inline] event_mode t = t.s_event
-
-let push_ready t (entry : Entry.t) =
-  if not entry.in_ready then begin
-    entry.in_ready <- true;
-    Event_queue.push t.ready ~at:0 ~id:entry.id entry
-  end
-
-let load_is_ready (entry : Entry.t) =
-  match entry.load_readiness with
-  | Entry.Load_forward | Entry.Load_needs_port -> true
-  | Entry.Load_not_checked | Entry.Load_blocked -> false
-
-(* Pool membership for loads is monotone: once a load classifies as
-   Forward or Needs_port it stays issuable (the value may still flip
-   between those two, e.g. when the forwarding store retires first). *)
-let pool_load t (load : Entry.t) = if load_is_ready load then push_ready t load
-
-let reclassify_load t (load : Entry.t) =
-  Lsq.refresh_entry t.lsq load;
-  pool_load t load
-
-(* An older store's address or data just resolved, or a store retired:
-   only loads younger than it can change classification. *)
-let store_resolved t (store : Entry.t) =
-  Lsq.refresh_younger t.lsq ~than_id:store.Entry.id
-    ~reclassified:(pool_load t)
-
-let store_retired t =
-  Lsq.refresh_younger t.lsq ~than_id:(-1) ~reclassified:(pool_load t)
-
-(* At dispatch, hang the new entry off its producers' wakeup lists (a
-   producer with a live rename mapping is necessarily still in the
-   window) and seed the ready pool / LSQ classification. *)
-let register_dispatched t (entry : Entry.t) =
-  let register id =
-    match Rob.entry_by_id t.rob id with
-    | Some producer ->
-        producer.Entry.dependents <- entry :: producer.Entry.dependents
-    | None ->
-        (* Corrupt dependency state can only come from a malformed trace
-           (register fields outside the renameable range decode to wild
-           producers); surface it as a structured trace fault. *)
-        raise
-          (Trace.Fault.Trace_fault
-             { code = "RSM-T008";
-               offset = t.cursor;
-               context =
-                 Printf.sprintf
-                   "entry #%d depends on #%d which is not in flight \
-                    (cycle %d)"
-                   entry.id id t.cycle })
-  in
-  let src1 = entry.src1_producer in
-  let src2 = entry.src2_producer in
-  if src1 >= 0 then register src1;
-  if src2 >= 0 && src2 <> src1 then register src2;
-  if Entry.is_load entry then begin
-    if Entry.sources_ready entry then reclassify_load t entry
-  end
-  else if Entry.sources_ready entry then push_ready t entry
-
-(* ------------------------------------------------------------------ *)
-(* Squash: branch resolution at commit flushes everything younger.     *)
-
+(* Squash: branch resolution at commit flushes everything younger. *)
 let squash t (branch : Entry.t) =
-  if event_mode t then
-    Rob.iter
-      (fun (entry : Entry.t) ->
-        if entry.id > branch.id then entry.squashed <- true)
-      t.rob;
   if observed t then begin
     Rob.iter
       (fun (entry : Entry.t) ->
@@ -469,11 +307,8 @@ let commit_phase t =
           in
           if entry_commits then begin
             Rob.drop_head t.rob;
-            if Trace.Record.is_memory entry.record then begin
+            if Trace.Record.is_memory entry.record then
               Lsq.release_head t.lsq entry;
-              (* A retired store stops shadowing younger loads. *)
-              if event_mode t && Entry.is_store entry then store_retired t
-            end;
             if observed t then notify t (Ev_commit entry);
             Stats.incr t.stats Stats.committed;
             incr committed;
@@ -523,42 +358,6 @@ let wakeup_scan t (producer : Entry.t) =
   let dest = producer.record.Trace.Record.dest in
   if dest > 0 then Rename.clear t.rename ~reg:dest ~id:producer.id
 
-(* Event wakeup: walk only the registered consumers. Clearing a source
-   of a waiting store means its address (src1) or data (src2) just
-   resolved, which can reclassify younger loads. *)
-let wakeup_event t (producer : Entry.t) =
-  let dependents = producer.Entry.dependents in
-  producer.Entry.dependents <- [];
-  (* The cons list is youngest-first; processing order among a
-     producer's dependents is immaterial (the ready pool orders by id
-     and [in_ready] dedups; a load woken before a sibling store
-     resolves is reclassified again by that store's [store_resolved]),
-     so iterate directly instead of allocating a [List.rev] copy. *)
-  List.iter
-    (fun (dependent : Entry.t) ->
-      if not dependent.squashed then begin
-        let cleared = ref false in
-        if dependent.src1_producer = producer.id then begin
-          dependent.src1_producer <- Entry.no_producer;
-          cleared := true
-        end;
-        if dependent.src2_producer = producer.id then begin
-          dependent.src2_producer <- Entry.no_producer;
-          cleared := true
-        end;
-        if !cleared && Entry.is_dispatched dependent then
-          if Entry.is_load dependent then begin
-            if Entry.sources_ready dependent then reclassify_load t dependent
-          end
-          else begin
-            if Entry.sources_ready dependent then push_ready t dependent;
-            if Entry.is_store dependent then store_resolved t dependent
-          end
-      end)
-    dependents;
-  let dest = producer.record.Trace.Record.dest in
-  if dest > 0 then Rename.clear t.rename ~reg:dest ~id:producer.id
-
 let writeback_phase_scan t =
   let broadcast = ref 0 in
   let now = t.cycle in
@@ -577,31 +376,6 @@ let writeback_phase_scan t =
          end)
        t.rob
    with Exit -> ())
-
-let writeback_phase_event t =
-  (* Move every execution that is due this cycle from the completion
-     heap to the broadcast queue, then broadcast the N oldest. Results
-     beyond the bandwidth stay queued — exactly the entries the scan
-     would find still Issued-and-due next cycle. *)
-  let now = t.cycle in
-  while Event_queue.min_at t.completion <= now do
-    let entry : Entry.t = Event_queue.top t.completion in
-    Event_queue.drop t.completion;
-    if (not entry.squashed) && Entry.is_issued entry then
-      Event_queue.push t.due ~at:0 ~id:entry.id entry
-  done;
-  let broadcast = ref 0 in
-  while !broadcast < t.s_width && not (Event_queue.is_empty t.due) do
-    let entry : Entry.t = Event_queue.top t.due in
-    Event_queue.drop t.due;
-    if (not entry.squashed) && Entry.is_issued entry then begin
-      entry.state <- Entry.Completed;
-      entry.completed_cycle <- now;
-      if observed t then notify t (Ev_complete entry);
-      wakeup_event t entry;
-      incr broadcast
-    end
-  done
 
 (* ------------------------------------------------------------------ *)
 (* Issue: schedule ready instructions onto units, oldest first.         *)
@@ -678,9 +452,6 @@ let try_issue t ~reads_used (entry : Entry.t) =
 let issue_entry t entry ~latency =
   entry.Entry.state <- Entry.Issued;
   entry.Entry.complete_at <- t.cycle + latency;
-  if event_mode t then
-    Event_queue.push t.completion ~at:entry.Entry.complete_at
-      ~id:entry.Entry.id entry;
   if observed t then notify t (Ev_issue entry);
   Stats.incr t.stats Stats.issued
 
@@ -722,71 +493,6 @@ let issue_phase_scan t =
    with Exit -> ());
   Stats.observe_issue_width t.stats !slots_used
 
-let push_candidate t (entry : Entry.t) =
-  let capacity = Array.length t.candidates in
-  if t.candidate_count = capacity then begin
-    let grown = Array.make (imax 16 (2 * capacity)) entry in
-    Array.blit t.candidates 0 grown 0 capacity;
-    t.candidates <- grown
-  end;
-  t.candidates.(t.candidate_count) <- entry;
-  t.candidate_count <- t.candidate_count + 1
-
-let issue_phase_event t =
-  Fu.begin_cycle t.fu;
-  let slots_used = ref 0 in
-  let reads_used = ref 0 in
-  let width = t.s_width in
-  (* Drain the pool oldest-first into the reusable scratch buffer;
-     entries that do not issue this cycle re-enter it. The pool holds
-     exactly the source-ready entries, so walking it reproduces the
-     scan's visit order over every entry whose [try_issue] could have an
-     effect (including port-stall charges). *)
-  t.candidate_count <- 0;
-  while not (Event_queue.is_empty t.ready) do
-    let entry : Entry.t = Event_queue.top t.ready in
-    Event_queue.drop t.ready;
-    entry.in_ready <- false;
-    if (not entry.squashed) && Entry.is_dispatched entry then
-      push_candidate t entry
-  done;
-  let first_slot = ref (-1) in
-  (* Load-barred first slot of the Optimized organization. *)
-  if t.s_optimized then begin
-    try
-      for i = 0 to t.candidate_count - 1 do
-        let entry = t.candidates.(i) in
-        if not (Entry.is_load entry) then begin
-          let latency = try_issue t ~reads_used entry in
-          if latency >= 0 then begin
-            issue_entry t entry ~latency;
-            incr slots_used;
-            first_slot := entry.id;
-            raise Exit
-          end
-        end
-      done
-    with Exit -> ()
-  end;
-  for i = 0 to t.candidate_count - 1 do
-    let entry = t.candidates.(i) in
-    if entry.id <> !first_slot then begin
-      if !slots_used >= width then
-        (* Past the width cutoff the scan stops visiting entries, so
-           charge no stalls — just keep them ready for next cycle. *)
-        push_ready t entry
-      else begin
-        let latency = try_issue t ~reads_used entry in
-        if latency >= 0 then begin
-          issue_entry t entry ~latency;
-          incr slots_used
-        end
-        else push_ready t entry
-      end
-    end
-  done;
-  Stats.observe_issue_width t.stats !slots_used
-
 (* ------------------------------------------------------------------ *)
 (* Dispatch: decouple buffer -> ROB (+ LSQ), with renaming.             *)
 
@@ -825,7 +531,6 @@ let dispatch_phase t =
             Rename.define t.rename ~reg:fetched.record.dest ~id:entry.id;
           if Trace.Record.is_memory fetched.record then
             Lsq.dispatch t.lsq entry;
-          if event_mode t then register_dispatched t entry;
           if observed t then notify t (Ev_dispatch entry);
           Stats.incr t.stats Stats.dispatched;
           incr count
@@ -907,7 +612,7 @@ let fetch_control t (record : Trace.Record.t) ~kind ~taken ~target =
 (* Burn one pending fetch-stall cycle and attribute it. Icache misses
    are already charged to icache_stall_cycles in full at grant time;
    the recovery counters split the remaining penalty cycles per cause.
-   Shared verbatim between the generic and staged fetch phases. *)
+   Shared verbatim between the oracle and production fetch phases. *)
 let burn_fetch_stall t =
   t.fetch_stall <- t.fetch_stall - 1;
   Stats.incr t.stats Stats.fetch_penalty_cycles;
@@ -997,25 +702,15 @@ let fetch_phase t =
 
 (* ------------------------------------------------------------------ *)
 
-let generic_step t =
+let reference_step t =
   if not (finished t) then begin
     probe t Ph_commit;
     commit_phase t;
-    if t.s_event then begin
-      (* LSQ readiness is maintained incrementally by the commit,
-         wakeup and dispatch hooks — no per-cycle refresh. *)
-      probe t Ph_writeback;
-      writeback_phase_event t;
-      probe t Ph_issue;
-      issue_phase_event t
-    end
-    else begin
-      probe t Ph_writeback;
-      writeback_phase_scan t;
-      Lsq.refresh t.lsq;
-      probe t Ph_issue;
-      issue_phase_scan t
-    end;
+    probe t Ph_writeback;
+    writeback_phase_scan t;
+    Lsq.refresh t.lsq;
+    probe t Ph_issue;
+    issue_phase_scan t;
     probe t Ph_dispatch;
     dispatch_phase t;
     probe t Ph_decouple;
@@ -1029,10 +724,1094 @@ let generic_step t =
     Stats.incr t.stats Stats.major_cycles
   end
 
-let step t =
-  match t.stepper with
-  | Generic -> generic_step t
-  | Specialized { run; _ } -> run t
+(* ------------------------------------------------------------------ *)
+(* The production cycle: the oracle's phases, plus the Event
+   scheduler, built once per engine as one closure family over it.
+   [make_cycle] reads every configuration fact, statistics cell, queue
+   and sub-component exactly once, and defines the phases as local
+   functions, so intra-cycle calls stay direct. This build has no
+   flambda, so the structure of the code is the optimization: loop
+   state travels in function parameters instead of [ref] cells, ROB
+   walks are index loops instead of closures, and the hot queue and
+   allocator operations are transcribed over their exposed
+   representations.
+
+   Contract: bit-identity with the Scan oracle under either scheduler,
+   i.e. the same cycle count, every Stats counter, the same observer
+   event stream in the same order, and the same probe sites.
+
+   Event scheduler: touch only state that can change this cycle.
+   - Broadcast selection is the N oldest entries whose execution is
+     due, exactly as the oldest-first ROB scan picks them.
+   - The ready pool holds exactly the entries the scan's [try_issue]
+     would act on (issue, allocate a unit, or charge a port stall), in
+     the same oldest-first order.
+   - A load's readiness is reclassified on every change of its
+     classification inputs (its own sources, an older store's
+     address/data, a store's retirement), so its value at issue time
+     equals the per-cycle Lsq_refresh result.
+   [completion] holds issued entries keyed by (complete_at, id); [due]
+   holds completed executions awaiting a broadcast slot, keyed by
+   (0, id), so the oldest-first broadcast order holds when more than N
+   results are due; [ready] is the issue pool, also in (0, id) order.
+   Squashed entries are dropped lazily when popped. *)
+
+let make_cycle (t : t) =
+  let config = t.config in
+  let width = config.Config.width in
+  let read_ports = config.Config.mem_read_ports in
+  let write_ports = config.Config.mem_write_ports in
+  let alu_count = config.Config.alu_count in
+  let alu_latency = config.Config.alu_latency in
+  let mult_count = config.Config.mult_count in
+  let mult_latency = config.Config.mult_latency in
+  let div_latency = config.Config.div_latency in
+  let misspeculation_penalty = config.Config.misspeculation_penalty in
+  let optimized = t.s_optimized in
+  let event =
+    match config.Config.scheduler with
+    | Config.Event -> true
+    | Config.Scan -> false
+  in
+  (* Engine components, resolved once. *)
+  let stats = t.stats in
+  let rob = t.rob in
+  let lsq = t.lsq in
+  let fu = t.fu in
+  let rename = t.rename in
+  let ifq = t.ifq in
+  let decouple = t.decouple in
+  let completion : Entry.t Event_queue.t = Event_queue.create () in
+  let due : Entry.t Event_queue.t = Event_queue.create () in
+  let ready : Entry.t Event_queue.t = Event_queue.create () in
+  (* Scratch buffer the event issue phase drains the ready pool into,
+     reused every cycle so issue allocates no per-cycle list. Stale
+     references past [candidate_count] are bounded by the ROB capacity
+     and overwritten on reuse, the Ring storage policy. *)
+  let candidates = ref [||] in
+  let candidate_count = ref 0 in
+  let push_candidate (entry : Entry.t) =
+    let capacity = Array.length !candidates in
+    if !candidate_count = capacity then begin
+      let grown = Array.make (imax 16 (2 * capacity)) entry in
+      Array.blit !candidates 0 grown 0 capacity;
+      candidates := grown
+    end;
+    !candidates.(!candidate_count) <- entry;
+    Stdlib.incr candidate_count
+  in
+  let source = t.source in
+  let dcache = t.dcache in
+  let icache = t.icache in
+  let predictor = t.predictor in
+  let block_bytes = t.s_block_bytes in
+  let icache_hit_latency = (Cache.timing (Hierarchy.l1 icache)).hit_latency in
+  (* A perfect L1 never misses, so the hierarchy walk collapses to
+     three counter bumps and the constant hit latency; the closure is
+     chosen once here. Real geometries keep the full access. *)
+  let l1_access hierarchy =
+    let l1 = Hierarchy.l1 hierarchy in
+    match Cache.config l1 with
+    | Cache.Perfect ->
+        let c = Cache.counters l1 in
+        let latency = (Cache.timing l1).hit_latency in
+        fun _addr _write ->
+          c.Cache.accesses <- c.Cache.accesses + 1;
+          c.Cache.clock <- c.Cache.clock + 1;
+          c.Cache.hits <- c.Cache.hits + 1;
+          latency
+    | Cache.Set_associative _ ->
+        fun addr write -> Hierarchy.access hierarchy ~addr ~write
+  in
+  let dcache_access = l1_access dcache in
+  let icache_access = l1_access icache in
+  let rob_ring = rob.Rob.ring in
+  let producers = rename.Rename.producers in
+  let register_count = Array.length producers in
+  let no_producer = Entry.no_producer in
+  let no_unit = Fu.no_unit in
+  let commit_widths = Stats.commit_width_histogram stats in
+  let issue_widths = Stats.issue_width_histogram stats in
+  (* Whole-array sources expose their length once so the per-cycle
+     end-of-trace check is a bare compare; pull sources keep the
+     ordinary calls. *)
+  let source_limit =
+    match source with
+    | Source.Whole records -> Array.length records
+    | Source.Windowed _ -> -1
+  in
+  let source_has index =
+    if source_limit >= 0 then index >= 0 && index < source_limit
+    else Source.has source index
+  in
+  let source_get index =
+    match source with
+    | Source.Whole records ->
+        if index < 0 || index >= Array.length records then
+          invalid_arg "Source.get: out of range";
+        records.(index)
+    | Source.Windowed _ -> Source.get source index
+  in
+  (* Constant-time queue operations, transcribed over the exposed
+     representations (ring.mli, event_queue.mli): [-opaque] keeps the
+     cross-module originals out of line in the default build, and
+     these run a dozen-plus times per cycle. Guards and exception
+     messages match the originals exactly. *)
+  let ring_front r =
+    if r.Ring.length = 0 then invalid_arg "Ring.front: empty";
+    r.Ring.slots.(r.Ring.head)
+  in
+  let ring_get r i =
+    if i < 0 || i >= r.Ring.length then invalid_arg "Ring.get: out of range";
+    let j = r.Ring.head + i in
+    r.Ring.slots.(if j >= r.Ring.capacity then j - r.Ring.capacity else j)
+  in
+  let ring_drop r =
+    if r.Ring.length = 0 then invalid_arg "Ring.drop: empty";
+    let next = r.Ring.head + 1 in
+    r.Ring.head <- (if next >= r.Ring.capacity then 0 else next);
+    r.Ring.length <- r.Ring.length - 1
+  in
+  let ring_push r value =
+    if r.Ring.length = r.Ring.capacity then failwith "Ring.push: full";
+    if Array.length r.Ring.slots = 0 then
+      r.Ring.slots <- Array.make r.Ring.capacity value;
+    let j = r.Ring.head + r.Ring.length in
+    r.Ring.slots.(if j >= r.Ring.capacity then j - r.Ring.capacity else j) <-
+      value;
+    r.Ring.length <- r.Ring.length + 1
+  in
+  let eq_is_empty (q : _ Event_queue.t) = q.Event_queue.size = 0 in
+  let eq_min_at (q : _ Event_queue.t) =
+    if q.Event_queue.size = 0 then max_int else q.Event_queue.at.(0)
+  in
+  let eq_top (q : _ Event_queue.t) =
+    if q.Event_queue.size = 0 then invalid_arg "Event_queue.top: empty";
+    q.Event_queue.payload.(0)
+  in
+  (* [Event_queue.push]/[drop] unfolded, with the four column arrays
+     hoisted into locals around the sift loops. Key order is the same
+     lexicographic (at, id, seq). *)
+  let eq_grow (q : Entry.t Event_queue.t) payload =
+    let capacity = Array.length q.Event_queue.at in
+    if q.Event_queue.size = capacity then begin
+      let grown = if capacity < 8 then 16 else 2 * capacity in
+      let at = Array.make grown 0 in
+      let id = Array.make grown 0 in
+      let seq = Array.make grown 0 in
+      let payloads = Array.make grown payload in
+      Array.blit q.Event_queue.at 0 at 0 q.Event_queue.size;
+      Array.blit q.Event_queue.id 0 id 0 q.Event_queue.size;
+      Array.blit q.Event_queue.seq 0 seq 0 q.Event_queue.size;
+      Array.blit q.Event_queue.payload 0 payloads 0 q.Event_queue.size;
+      q.Event_queue.at <- at;
+      q.Event_queue.id <- id;
+      q.Event_queue.seq <- seq;
+      q.Event_queue.payload <- payloads
+    end
+  in
+  let eq_push (q : Entry.t Event_queue.t) ~at ~id payload =
+    let seq = q.Event_queue.stamp in
+    q.Event_queue.stamp <- seq + 1;
+    eq_grow q payload;
+    let ats = q.Event_queue.at
+    and ids = q.Event_queue.id
+    and seqs = q.Event_queue.seq
+    and payloads = q.Event_queue.payload in
+    let i = ref q.Event_queue.size in
+    q.Event_queue.size <- !i + 1;
+    let continue_ = ref true in
+    while !continue_ && !i > 0 do
+      let parent = (!i - 1) / 2 in
+      if
+        at < ats.(parent)
+        || (at = ats.(parent)
+            && (id < ids.(parent)
+                || (id = ids.(parent) && seq < seqs.(parent))))
+      then begin
+        ats.(!i) <- ats.(parent);
+        ids.(!i) <- ids.(parent);
+        seqs.(!i) <- seqs.(parent);
+        payloads.(!i) <- payloads.(parent);
+        i := parent
+      end
+      else continue_ := false
+    done;
+    ats.(!i) <- at;
+    ids.(!i) <- id;
+    seqs.(!i) <- seq;
+    payloads.(!i) <- payload
+  in
+  let eq_drop (q : Entry.t Event_queue.t) =
+    if q.Event_queue.size = 0 then invalid_arg "Event_queue.drop: empty";
+    q.Event_queue.size <- q.Event_queue.size - 1;
+    let size = q.Event_queue.size in
+    if size > 0 then begin
+      let ats = q.Event_queue.at
+      and ids = q.Event_queue.id
+      and seqs = q.Event_queue.seq
+      and payloads = q.Event_queue.payload in
+      let at = ats.(size)
+      and id = ids.(size)
+      and seq = seqs.(size) in
+      let payload = payloads.(size) in
+      let i = ref 0 in
+      let continue_ = ref true in
+      while !continue_ do
+        let left = (2 * !i) + 1 in
+        if left >= size then continue_ := false
+        else begin
+          let right = left + 1 in
+          let child =
+            if
+              right < size
+              && (ats.(right) < ats.(left)
+                  || (ats.(right) = ats.(left)
+                      && (ids.(right) < ids.(left)
+                          || (ids.(right) = ids.(left)
+                              && seqs.(right) < seqs.(left)))))
+            then right
+            else left
+          in
+          if
+            ats.(child) < at
+            || (ats.(child) = at
+                && (ids.(child) < id
+                    || (ids.(child) = id && seqs.(child) < seq)))
+          then begin
+            ats.(!i) <- ats.(child);
+            ids.(!i) <- ids.(child);
+            seqs.(!i) <- seqs.(child);
+            payloads.(!i) <- payloads.(child);
+            i := child
+          end
+          else continue_ := false
+        end
+      done;
+      ats.(!i) <- at;
+      ids.(!i) <- id;
+      seqs.(!i) <- seq;
+      payloads.(!i) <- payload
+    end
+  in
+  (* Functional-unit allocation over the exposed pool record, with the
+     unit counts and latencies already in scope. *)
+  let alloc_alu () =
+    if fu.Fu.alu_used < alu_count then begin
+      fu.Fu.alu_used <- fu.Fu.alu_used + 1;
+      fu.Fu.alu_allocations <- fu.Fu.alu_allocations + 1;
+      alu_latency
+    end
+    else no_unit
+  in
+  let alloc_mult () =
+    if fu.Fu.mult_used < mult_count then begin
+      fu.Fu.mult_used <- fu.Fu.mult_used + 1;
+      mult_latency
+    end
+    else no_unit
+  in
+  let alloc_div now =
+    let busy = fu.Fu.div_busy_until in
+    let rec scan i =
+      if i >= Array.length busy then no_unit
+      else if busy.(i) <= now then begin
+        busy.(i) <- now + div_latency;
+        div_latency
+      end
+      else scan (i + 1)
+    in
+    scan 0
+  in
+  (* Rename-table lookups over the exposed producer array. *)
+  let producer_of reg =
+    if reg <= 0 || reg >= register_count then no_producer
+    else producers.(reg)
+  in
+  let observe_width (h : Histogram.t) value =
+    let bins = Array.length h.Histogram.counts in
+    let slot =
+      if value < 0 then 0 else if value >= bins then bins - 1 else value
+    in
+    h.Histogram.counts.(slot) <- h.Histogram.counts.(slot) + 1;
+    h.Histogram.total <- h.Histogram.total + 1
+  in
+  (* Statistics cells, resolved once; bumps are raw ref arithmetic. *)
+  let st_committed = Stats.live Stats.committed stats in
+  let st_committed_branches = Stats.live Stats.committed_branches stats in
+  let st_committed_cond_branches =
+    Stats.live Stats.committed_cond_branches stats
+  in
+  let st_committed_loads = Stats.live Stats.committed_loads stats in
+  let st_committed_stores = Stats.live Stats.committed_stores stats in
+  let st_committed_mult_div = Stats.live Stats.committed_mult_div stats in
+  let st_mispredictions = Stats.live Stats.mispredictions stats in
+  let st_forwarded_loads = Stats.live Stats.forwarded_loads stats in
+  let st_dispatched = Stats.live Stats.dispatched stats in
+  let st_issued = Stats.live Stats.issued stats in
+  let st_fetched = Stats.live Stats.fetched stats in
+  let st_fetched_wrong_path = Stats.live Stats.fetched_wrong_path stats in
+  let st_discarded_wrong_path =
+    Stats.live Stats.discarded_wrong_path stats
+  in
+  let st_icache_stall_cycles = Stats.live Stats.icache_stall_cycles stats in
+  let st_major_cycles = Stats.live Stats.major_cycles stats in
+  let st_write_port_stalls = Stats.live Stats.write_port_stalls stats in
+  let st_read_port_stalls = Stats.live Stats.read_port_stalls stats in
+  let st_fu_busy_stalls = Stats.live Stats.fu_busy_stalls stats in
+  let st_ifq_empty_stalls = Stats.live Stats.ifq_empty_stalls stats in
+  let st_rob_full_stalls = Stats.live Stats.rob_full_stalls stats in
+  let st_lsq_full_stalls = Stats.live Stats.lsq_full_stalls stats in
+  (* [charge_stall] with the cell pre-resolved. *)
+  let charge cell reason =
+    Stdlib.incr cell;
+    if observed t then notify t (Ev_stall reason)
+  in
+  (* Entry and record predicates, flattened to local tag matches (the
+     cross-module [Entry.is_*] helpers are out-of-line calls in a
+     non-flambda dev build). *)
+  let entry_is_dispatched (entry : Entry.t) =
+    match entry.Entry.state with
+    | Entry.Dispatched -> true
+    | Entry.Issued | Entry.Completed -> false
+  in
+  let entry_is_issued (entry : Entry.t) =
+    match entry.Entry.state with
+    | Entry.Issued -> true
+    | Entry.Dispatched | Entry.Completed -> false
+  in
+  let entry_is_completed (entry : Entry.t) =
+    match entry.Entry.state with
+    | Entry.Completed -> true
+    | Entry.Dispatched | Entry.Issued -> false
+  in
+  let entry_is_load (entry : Entry.t) =
+    match entry.Entry.record.Trace.Record.payload with
+    | Trace.Record.Memory { is_load; _ } -> is_load
+    | Trace.Record.Branch _ | Trace.Record.Other _ -> false
+  in
+  let entry_is_store (entry : Entry.t) =
+    match entry.Entry.record.Trace.Record.payload with
+    | Trace.Record.Memory { is_load; _ } -> not is_load
+    | Trace.Record.Branch _ | Trace.Record.Other _ -> false
+  in
+  let record_is_memory (record : Trace.Record.t) =
+    match record.Trace.Record.payload with
+    | Trace.Record.Memory _ -> true
+    | Trace.Record.Branch _ | Trace.Record.Other _ -> false
+  in
+  let sources_ready (entry : Entry.t) =
+    entry.Entry.src1_producer < 0 && entry.Entry.src2_producer < 0
+  in
+  (* ---- event-scheduler bookkeeping ---- *)
+  let push_ready (entry : Entry.t) =
+    if not entry.in_ready then begin
+      entry.in_ready <- true;
+      eq_push ready ~at:0 ~id:entry.id entry
+    end
+  in
+  (* Pool membership for loads is monotone: once a load classifies as
+     Forward or Needs_port it stays issuable (the value may still flip
+     between those two, e.g. when the forwarding store retires first). *)
+  let pool_load (load : Entry.t) =
+    match load.Entry.load_readiness with
+    | Entry.Load_forward | Entry.Load_needs_port -> push_ready load
+    | Entry.Load_not_checked | Entry.Load_blocked -> ()
+  in
+  let reclassify_load (load : Entry.t) =
+    Lsq.refresh_entry lsq load;
+    pool_load load
+  in
+  (* An older store's address or data just resolved, or a store
+     retired: only loads younger than it can change classification.
+     [pool_load] is one closure shared by every refresh, so none
+     allocates a partial application. *)
+  let store_resolved (store : Entry.t) =
+    Lsq.refresh_younger lsq ~than_id:store.Entry.id ~reclassified:pool_load
+  in
+  let store_retired () =
+    Lsq.refresh_younger lsq ~than_id:(-1) ~reclassified:pool_load
+  in
+  (* At dispatch, hang the new entry off its producers' wakeup lists (a
+     producer with a live rename mapping is necessarily still in the
+     window) and seed the ready pool / LSQ classification. *)
+  let register_dispatched (entry : Entry.t) =
+    (* Window ids are consecutive, so the producer lookup is offset
+       arithmetic from the head entry's id. Corrupt dependency state
+       can only come from a malformed trace (register fields outside
+       the renameable range decode to wild producers); it surfaces as
+       a structured trace fault. *)
+    let register id =
+      let n = rob_ring.Ring.length in
+      let index =
+        if n = 0 then -1 else id - (ring_front rob_ring).Entry.id
+      in
+      if index < 0 || index >= n then
+        raise
+          (Trace.Fault.Trace_fault
+             { code = "RSM-T008";
+               offset = t.cursor;
+               context =
+                 Printf.sprintf
+                   "entry #%d depends on #%d which is not in flight \
+                    (cycle %d)"
+                   entry.id id t.cycle })
+      else begin
+        let producer : Entry.t = ring_get rob_ring index in
+        assert (producer.Entry.id = id);
+        producer.Entry.dependents <- entry :: producer.Entry.dependents
+      end
+    in
+    let src1 = entry.src1_producer in
+    let src2 = entry.src2_producer in
+    if src1 >= 0 then register src1;
+    if src2 >= 0 && src2 <> src1 then register src2;
+    if entry_is_load entry then begin
+      if sources_ready entry then reclassify_load entry
+    end
+    else if sources_ready entry then push_ready entry
+  in
+  (* ---- squash ---- *)
+  let rec mark_squashed n i than_id =
+    if i < n then begin
+      let entry : Entry.t = ring_get rob_ring i in
+      if entry.Entry.id > than_id then entry.Entry.squashed <- true;
+      mark_squashed n (i + 1) than_id
+    end
+  in
+  let rec skip_tagged () =
+    match Source.at source t.cursor with
+    | Some record when record.Trace.Record.wrong_path ->
+        t.cursor <- t.cursor + 1;
+        Stdlib.incr st_discarded_wrong_path;
+        skip_tagged ()
+    | Some _ | None -> ()
+  in
+  let squash (branch : Entry.t) =
+    if event then mark_squashed rob_ring.Ring.length 0 branch.Entry.id;
+    if observed t then begin
+      let rec notify_squashed n i =
+        if i < n then begin
+          let entry : Entry.t = ring_get rob_ring i in
+          if entry.Entry.id > branch.Entry.id then
+            notify t (Ev_squash entry);
+          notify_squashed n (i + 1)
+        end
+      in
+      notify_squashed rob_ring.Ring.length 0;
+      notify t Ev_flush_frontend
+    end;
+    ignore (Rob.squash_younger rob ~than_id:branch.Entry.id);
+    ignore (Lsq.squash_younger lsq ~than_id:branch.Entry.id);
+    Ring.clear ifq;
+    Ring.clear decouple;
+    Rename.reset rename;
+    Fu.flush fu;
+    (match branch.Entry.ras_repair with
+    | Some saved -> Bpred.Predictor.ras_restore predictor saved
+    | None -> ());
+    skip_tagged ();
+    t.fetch_mode <- Normal;
+    if misspeculation_penalty > t.fetch_stall then begin
+      t.fetch_stall <- misspeculation_penalty;
+      t.fetch_stall_source <- Recover_mispredict
+    end;
+    t.last_fetch_block <- -1
+  in
+  (* ---- commit ---- *)
+  let rec commit_loop committed write_ports_used =
+    if committed >= width then committed
+    else if rob_ring.Ring.length = 0 then committed
+    else begin
+      let entry = ring_front rob_ring in
+      if (not (entry_is_completed entry)) || entry.completed_cycle >= t.cycle
+      then committed
+      else if entry.Entry.record.Trace.Record.wrong_path then
+        raise
+          (Trace.Fault.Trace_fault
+             { code = "RSM-T005";
+               offset = t.cursor;
+               context =
+                 Printf.sprintf
+                   "wrong-path instruction pc=%d reached commit at cycle %d"
+                   entry.record.Trace.Record.pc t.cycle })
+      else if entry_is_store entry && write_ports_used >= write_ports
+      then begin
+        charge st_write_port_stalls Stall_write_port;
+        committed
+      end
+      else begin
+        let write_ports_used =
+          if entry_is_store entry then begin
+            (match entry.record.payload with
+            | Trace.Record.Memory { address; _ } ->
+                ignore (dcache_access address true)
+            | Trace.Record.Branch _ | Trace.Record.Other _ -> ());
+            write_ports_used + 1
+          end
+          else write_ports_used
+        in
+        ring_drop rob_ring;
+        if record_is_memory entry.record then begin
+          Lsq.release_head lsq entry;
+          (* A retired store stops shadowing younger loads. *)
+          if event && entry_is_store entry then store_retired ()
+        end;
+        if observed t then notify t (Ev_commit entry);
+        Stdlib.incr st_committed;
+        let committed = committed + 1 in
+        let keep_going =
+          match entry.record.payload with
+          | Trace.Record.Branch { kind; taken; target } ->
+              Stdlib.incr st_committed_branches;
+              if Resim_isa.Opcode.is_cond_kind kind then
+                Stdlib.incr st_committed_cond_branches;
+              Bpred.Predictor.update predictor ~pc:entry.record.pc ~kind
+                ~taken ~target;
+              Bpred.Predictor.record_resolution predictor
+                ~correct:(not entry.squash_on_commit);
+              if entry.squash_on_commit then begin
+                Stdlib.incr st_mispredictions;
+                squash entry;
+                false
+              end
+              else true
+          | Trace.Record.Memory { is_load; _ } ->
+              if is_load then begin
+                Stdlib.incr st_committed_loads;
+                if entry.forwarded then Stdlib.incr st_forwarded_loads
+              end
+              else Stdlib.incr st_committed_stores;
+              true
+          | Trace.Record.Other { op_class = Trace.Record.Mult }
+          | Trace.Record.Other { op_class = Trace.Record.Divide } ->
+              Stdlib.incr st_committed_mult_div;
+              true
+          | Trace.Record.Other { op_class = Trace.Record.Alu } -> true
+        in
+        if keep_going then commit_loop committed write_ports_used
+        else committed
+      end
+    end
+  in
+  let commit_phase () = observe_width commit_widths (commit_loop 0 0) in
+  (* ---- writeback (event) ---- *)
+  (* Event wakeup: walk only the registered consumers. Clearing a
+     source of a waiting store means its address (src1) or data (src2)
+     just resolved, which can reclassify younger loads. The cons list is
+     youngest-first; processing order among a producer's dependents is
+     immaterial (the ready pool orders by id and [in_ready] dedups; a
+     load woken before a sibling store resolves is reclassified again by
+     that store's [store_resolved]), so it is walked as is. *)
+  let rec wake_dependents producer_id = function
+    | [] -> ()
+    | (dependent : Entry.t) :: rest ->
+        if not dependent.squashed then begin
+          let cleared1 = dependent.src1_producer = producer_id in
+          if cleared1 then dependent.src1_producer <- Entry.no_producer;
+          let cleared2 = dependent.src2_producer = producer_id in
+          if cleared2 then dependent.src2_producer <- Entry.no_producer;
+          if (cleared1 || cleared2) && entry_is_dispatched dependent then
+            if entry_is_load dependent then begin
+              if sources_ready dependent then reclassify_load dependent
+            end
+            else begin
+              if sources_ready dependent then push_ready dependent;
+              if entry_is_store dependent then store_resolved dependent
+            end
+        end;
+        wake_dependents producer_id rest
+  in
+  let wakeup_event (producer : Entry.t) =
+    let dependents = producer.Entry.dependents in
+    producer.Entry.dependents <- [];
+    wake_dependents producer.id dependents;
+    let dest = producer.record.Trace.Record.dest in
+    if dest > 0 && dest < register_count && producers.(dest) = producer.id
+    then producers.(dest) <- no_producer
+  in
+  let rec drain_completion now =
+    if eq_min_at completion <= now then begin
+      let entry : Entry.t = eq_top completion in
+      eq_drop completion;
+      if (not entry.squashed) && entry_is_issued entry then
+        eq_push due ~at:0 ~id:entry.id entry;
+      drain_completion now
+    end
+  in
+  let rec broadcast_loop now n =
+    if n < width && not (eq_is_empty due) then begin
+      let entry : Entry.t = eq_top due in
+      eq_drop due;
+      if (not entry.squashed) && entry_is_issued entry then begin
+        entry.state <- Entry.Completed;
+        entry.completed_cycle <- now;
+        if observed t then notify t (Ev_complete entry);
+        wakeup_event entry;
+        broadcast_loop now (n + 1)
+      end
+      else broadcast_loop now n
+    end
+  in
+  (* Move every execution that is due this cycle from the completion
+     heap to the broadcast queue, then broadcast the N oldest. Results
+     beyond the bandwidth stay queued: exactly the entries the scan
+     would find still Issued-and-due next cycle. *)
+  let writeback_phase_event () =
+    drain_completion t.cycle;
+    broadcast_loop t.cycle 0
+  in
+  (* ---- writeback (scan) ---- *)
+  let rec wakeup_scan_loop n i producer_id =
+    if i < n then begin
+      let dependent : Entry.t = ring_get rob_ring i in
+      if dependent.src1_producer = producer_id then
+        dependent.src1_producer <- Entry.no_producer;
+      if dependent.src2_producer = producer_id then
+        dependent.src2_producer <- Entry.no_producer;
+      wakeup_scan_loop n (i + 1) producer_id
+    end
+  in
+  let wakeup_scan (producer : Entry.t) =
+    wakeup_scan_loop rob_ring.Ring.length 0 producer.Entry.id;
+    let dest = producer.record.Trace.Record.dest in
+    if dest > 0 && dest < register_count && producers.(dest) = producer.id
+    then producers.(dest) <- no_producer
+  in
+  let rec writeback_scan_loop n i broadcast =
+    if i < n && broadcast < width then begin
+      let entry : Entry.t = ring_get rob_ring i in
+      if entry_is_issued entry && entry.complete_at <= t.cycle then begin
+        entry.state <- Entry.Completed;
+        entry.completed_cycle <- t.cycle;
+        if observed t then notify t (Ev_complete entry);
+        wakeup_scan entry;
+        writeback_scan_loop n (i + 1) (broadcast + 1)
+      end
+      else writeback_scan_loop n (i + 1) broadcast
+    end
+  in
+  let writeback_phase_scan () = writeback_scan_loop rob_ring.Ring.length 0 0 in
+  (* ---- issue ---- *)
+  let try_issue ~reads_used (entry : Entry.t) =
+    match entry.record.payload with
+    | Trace.Record.Other { op_class } ->
+        if not (sources_ready entry) then verdict_not_ready
+        else begin
+          let verdict =
+            match op_class with
+            | Trace.Record.Alu -> alloc_alu ()
+            | Trace.Record.Mult -> alloc_mult ()
+            | Trace.Record.Divide -> alloc_div t.cycle
+          in
+          if verdict < 0 then charge st_fu_busy_stalls Stall_fu_busy;
+          verdict
+        end
+    | Trace.Record.Branch _ ->
+        if not (sources_ready entry) then verdict_not_ready
+        else begin
+          let verdict = alloc_alu () in
+          if verdict < 0 then charge st_fu_busy_stalls Stall_fu_busy;
+          verdict
+        end
+    | Trace.Record.Memory { is_load = false; _ } ->
+        if not (sources_ready entry) then verdict_not_ready
+        else if alloc_alu () >= 0 then 1
+        else begin
+          charge st_fu_busy_stalls Stall_fu_busy;
+          verdict_no_unit
+        end
+    | Trace.Record.Memory { is_load = true; address } -> (
+        match entry.load_readiness with
+        | Entry.Load_not_checked | Entry.Load_blocked -> verdict_not_ready
+        | Entry.Load_forward ->
+            if alloc_alu () >= 0 then begin
+              entry.forwarded <- true;
+              1
+            end
+            else begin
+              charge st_fu_busy_stalls Stall_fu_busy;
+              verdict_no_unit
+            end
+        | Entry.Load_needs_port ->
+            if reads_used >= read_ports then begin
+              charge st_read_port_stalls Stall_read_port;
+              verdict_no_unit
+            end
+            else if alloc_alu () >= 0 then begin
+              let access = dcache_access address false in
+              1 + access
+            end
+            else begin
+              charge st_fu_busy_stalls Stall_fu_busy;
+              verdict_no_unit
+            end)
+  in
+  (* A successful issue consumed a read port exactly when the load
+     had classified as needing one; [try_issue] never changes the
+     classification, so the caller can read it afterwards. *)
+  let consumed_read_port (entry : Entry.t) verdict =
+    verdict >= 0
+    &&
+    match entry.load_readiness with
+    | Entry.Load_needs_port -> true
+    | Entry.Load_not_checked | Entry.Load_blocked | Entry.Load_forward ->
+        false
+  in
+  let issue_entry (entry : Entry.t) ~latency =
+    entry.Entry.state <- Entry.Issued;
+    entry.Entry.complete_at <- t.cycle + latency;
+    if event then
+      eq_push completion ~at:entry.Entry.complete_at
+        ~id:entry.Entry.id entry;
+    if observed t then notify t (Ev_issue entry);
+    Stdlib.incr st_issued
+  in
+  (* Event issue. The Optimized first-slot pass returns the issued
+     entry's id (or -1): non-loads never consume read ports, so
+     [reads_used] is still 0 when the main walk starts. *)
+  let rec first_slot_event i =
+    if i >= !candidate_count then -1
+    else begin
+      let entry = !candidates.(i) in
+      if entry_is_load entry then first_slot_event (i + 1)
+      else begin
+        let verdict = try_issue ~reads_used:0 entry in
+        if verdict >= 0 then begin
+          issue_entry entry ~latency:verdict;
+          entry.id
+        end
+        else first_slot_event (i + 1)
+      end
+    end
+  in
+  let rec issue_event_loop i slots_used reads_used first_id =
+    if i >= !candidate_count then slots_used
+    else begin
+      let entry = !candidates.(i) in
+      if entry.id = first_id then
+        issue_event_loop (i + 1) slots_used reads_used first_id
+      else if slots_used >= width then begin
+        (* Past the width cutoff the scan stops visiting entries, so
+           charge no stalls — just keep them ready for next cycle. *)
+        push_ready entry;
+        issue_event_loop (i + 1) slots_used reads_used first_id
+      end
+      else begin
+        let verdict = try_issue ~reads_used entry in
+        if verdict >= 0 then begin
+          issue_entry entry ~latency:verdict;
+          issue_event_loop (i + 1) (slots_used + 1)
+            (if consumed_read_port entry verdict then reads_used + 1
+             else reads_used)
+            first_id
+        end
+        else begin
+          push_ready entry;
+          issue_event_loop (i + 1) slots_used reads_used first_id
+        end
+      end
+    end
+  in
+  let rec drain_ready () =
+    if not (eq_is_empty ready) then begin
+      let entry : Entry.t = eq_top ready in
+      eq_drop ready;
+      entry.in_ready <- false;
+      if (not entry.squashed) && entry_is_dispatched entry then
+        push_candidate entry;
+      drain_ready ()
+    end
+  in
+  (* Drain the pool oldest-first into the reusable scratch buffer;
+     entries that do not issue this cycle re-enter it. The pool holds
+     exactly the source-ready entries, so walking it reproduces the
+     scan's visit order over every entry whose [try_issue] could have an
+     effect (including port-stall charges). *)
+  let issue_phase_event () =
+    fu.Fu.alu_used <- 0;
+    fu.Fu.mult_used <- 0;
+    candidate_count := 0;
+    drain_ready ();
+    let first_id = if optimized then first_slot_event 0 else -1 in
+    let slots = if first_id >= 0 then 1 else 0 in
+    let slots = issue_event_loop 0 slots 0 first_id in
+    observe_width issue_widths slots
+  in
+  (* Scan issue: the first-slot pass leaves the winner Issued, so the
+     main walk's dispatched filter skips it without id tracking. *)
+  let rec first_slot_scan n i =
+    if i >= n then 0
+    else begin
+      let entry : Entry.t = ring_get rob_ring i in
+      if entry_is_dispatched entry && not (entry_is_load entry) then begin
+        let verdict = try_issue ~reads_used:0 entry in
+        if verdict >= 0 then begin
+          issue_entry entry ~latency:verdict;
+          1
+        end
+        else first_slot_scan n (i + 1)
+      end
+      else first_slot_scan n (i + 1)
+    end
+  in
+  let rec issue_scan_loop n i slots_used reads_used =
+    if i >= n || slots_used >= width then slots_used
+    else begin
+      let entry : Entry.t = ring_get rob_ring i in
+      if entry_is_dispatched entry then begin
+        let verdict = try_issue ~reads_used entry in
+        if verdict >= 0 then begin
+          issue_entry entry ~latency:verdict;
+          issue_scan_loop n (i + 1) (slots_used + 1)
+            (if consumed_read_port entry verdict then reads_used + 1
+             else reads_used)
+        end
+        else issue_scan_loop n (i + 1) slots_used reads_used
+      end
+      else issue_scan_loop n (i + 1) slots_used reads_used
+    end
+  in
+  let issue_phase_scan () =
+    fu.Fu.alu_used <- 0;
+    fu.Fu.mult_used <- 0;
+    let n = rob_ring.Ring.length in
+    let first = if optimized then first_slot_scan n 0 else 0 in
+    let slots = issue_scan_loop n 0 first 0 in
+    observe_width issue_widths slots
+  in
+  (* ---- dispatch / decouple ---- *)
+  let rec dispatch_loop count =
+    if count >= width then ()
+    else if decouple.Ring.length = 0 then
+      charge st_ifq_empty_stalls Stall_ifq_empty
+    else begin
+      let fetched = ring_front decouple in
+      if rob_ring.Ring.length = rob_ring.Ring.capacity then
+        charge st_rob_full_stalls Stall_rob_full
+      else if record_is_memory fetched.record && Lsq.is_full lsq then
+        charge st_lsq_full_stalls Stall_lsq_full
+      else begin
+        ring_drop decouple;
+        (* [Rob.dispatch] unfolded over the exposed window, with
+           [Entry.make]'s literal allocated in place. *)
+        let entry =
+          { Entry.id = rob.Rob.sequence;
+            record = fetched.record;
+            src1_producer = no_producer;
+            src2_producer = no_producer;
+            state = Entry.Dispatched;
+            complete_at = max_int;
+            completed_cycle = max_int;
+            load_readiness = Entry.Load_not_checked;
+            forwarded = false;
+            squash_on_commit = false;
+            ras_repair = None;
+            dependents = [];
+            in_ready = false;
+            squashed = false }
+        in
+        rob.Rob.sequence <- rob.Rob.sequence + 1;
+        ring_push rob_ring entry;
+        entry.squash_on_commit <- fetched.squash_at_commit;
+        entry.ras_repair <- fetched.ras_repair;
+        entry.src1_producer <- producer_of fetched.record.src1;
+        entry.src2_producer <- producer_of fetched.record.src2;
+        let dest = fetched.record.dest in
+        if dest > 0 && dest < register_count then
+          producers.(dest) <- entry.id;
+        if record_is_memory fetched.record then Lsq.dispatch lsq entry;
+        if event then register_dispatched entry;
+        if observed t then notify t (Ev_dispatch entry);
+        Stdlib.incr st_dispatched;
+        dispatch_loop (count + 1)
+      end
+    end
+  in
+  let dispatch_phase () = dispatch_loop 0 in
+  let rec decouple_loop moved =
+    if
+      moved < width
+      && ifq.Ring.length <> 0
+      && decouple.Ring.length <> decouple.Ring.capacity
+    then begin
+      let moved_record = ring_front ifq in
+      ring_drop ifq;
+      ring_push decouple moved_record;
+      decouple_loop (moved + 1)
+    end
+  in
+  let decouple_phase () = decouple_loop 0 in
+  (* ---- fetch ---- *)
+  (* [fetch_phase] with the loop state in parameters; the stall-burn
+     branch and [fetch_control] are shared with the oracle (both
+     already read hoisted constants). *)
+  let rec fetch_loop count =
+    if count < width && ifq.Ring.length <> ifq.Ring.capacity then begin
+      if source_has t.cursor then begin
+        let record = source_get t.cursor in
+        match t.fetch_mode with
+        | Awaiting_resolution -> ()
+        | Wrong_path when not record.wrong_path ->
+            t.fetch_mode <- Awaiting_resolution
+        | Normal when record.wrong_path ->
+            t.cursor <- t.cursor + 1;
+            Stdlib.incr st_discarded_wrong_path;
+            fetch_loop count
+        | Normal | Wrong_path ->
+            let byte_addr = Resim_isa.Instruction.byte_address record.pc in
+            let block = byte_addr / block_bytes in
+            let stalled_on_icache =
+              if block = t.last_fetch_block then false
+              else begin
+                let latency = icache_access byte_addr false in
+                t.last_fetch_block <- block;
+                let extra = latency - icache_hit_latency in
+                if extra > 0 then begin
+                  t.fetch_stall <- extra;
+                  t.fetch_stall_source <- Recover_icache;
+                  st_icache_stall_cycles := !st_icache_stall_cycles + extra;
+                  true
+                end
+                else false
+              end
+            in
+            if not stalled_on_icache then begin
+              t.cursor <- t.cursor + 1;
+              Stdlib.incr st_fetched;
+              if record.wrong_path then Stdlib.incr st_fetched_wrong_path;
+              let fetched, taken =
+                match record.payload with
+                | Trace.Record.Branch { kind; taken; target } ->
+                    fetch_control t record ~kind ~taken ~target
+                | Trace.Record.Memory _ | Trace.Record.Other _ ->
+                    ( { record;
+                        squash_at_commit = false;
+                        ras_repair = None },
+                      false )
+              in
+              ring_push ifq fetched;
+              if observed t then notify t (Ev_fetch record);
+              (* Fetch until a control-flow bubble (§III). *)
+              if not taken then fetch_loop (count + 1)
+            end
+      end
+    end
+  in
+  let fetch_phase () =
+    if not t.fetch_enabled then ()
+    else if t.fetch_stall > 0 then burn_fetch_stall t
+    else begin
+      if source_limit < 0 then Source.release_below source t.cursor;
+      fetch_loop 0
+    end
+  in
+  (* ---- the cycle ---- *)
+  let account () =
+    Stats.sample_occupancy stats ~ifq:ifq.Ring.length
+      ~rob:rob_ring.Ring.length ~lsq:(Lsq.length lsq);
+    t.cycle <- t.cycle + 1;
+    Stdlib.incr st_major_cycles
+  in
+  let finished_here () =
+    (not (source_has t.cursor))
+    && ifq.Ring.length = 0
+    && decouple.Ring.length = 0
+    && rob_ring.Ring.length = 0
+  in
+  let step_event () =
+    if not (finished_here ()) then begin
+      probe t Ph_commit;
+      commit_phase ();
+      probe t Ph_writeback;
+      writeback_phase_event ();
+      probe t Ph_issue;
+      issue_phase_event ();
+      probe t Ph_dispatch;
+      dispatch_phase ();
+      probe t Ph_decouple;
+      decouple_phase ();
+      probe t Ph_fetch;
+      fetch_phase ();
+      probe t Ph_account;
+      account ()
+    end
+  in
+  let step_scan () =
+    if not (finished_here ()) then begin
+      probe t Ph_commit;
+      commit_phase ();
+      probe t Ph_writeback;
+      writeback_phase_scan ();
+      Lsq.refresh lsq;
+      probe t Ph_issue;
+      issue_phase_scan ();
+      probe t Ph_dispatch;
+      dispatch_phase ();
+      probe t Ph_decouple;
+      decouple_phase ();
+      probe t Ph_fetch;
+      fetch_phase ();
+      probe t Ph_account;
+      account ()
+    end
+  in
+  if event then step_event else step_scan
+
+let create_from_source ?(config = Config.reference) source =
+  let config =
+    match Config.validate config with
+    | Ok config -> config
+    | Error message -> invalid_arg ("Engine.create: " ^ message)
+  in
+  let shared_l2 =
+    Option.map
+      (fun l2_config -> Cache.create ~timing:config.l2_timing l2_config)
+      config.l2cache
+  in
+  let t =
+    { config;
+      s_width = config.width;
+      s_optimized = Config.is_optimized config.organization;
+      s_read_ports = config.mem_read_ports;
+      s_write_ports = config.mem_write_ports;
+      s_misfetch_penalty = config.misfetch_penalty;
+      s_misspeculation_penalty = config.misspeculation_penalty;
+      s_minor_latency = Config.minor_cycle_latency config;
+      s_block_bytes = block_bytes_of_cache config.icache;
+      source;
+      cursor = 0;
+      ifq = Ring.create ~capacity:config.ifq_entries;
+      decouple = Ring.create ~capacity:config.decouple_entries;
+      rob = Rob.create ~entries:config.rob_entries;
+      lsq = Lsq.create ~entries:config.lsq_entries;
+      rename = Rename.create ~registers:Resim_isa.Reg.count;
+      fu = Fu.create config;
+      predictor = Bpred.Predictor.create config.predictor;
+      icache =
+        Hierarchy.create ~timing:config.cache_timing config.icache
+          ~l2:shared_l2;
+      dcache =
+        Hierarchy.create ~timing:config.cache_timing config.dcache
+          ~l2:shared_l2;
+      l2cache = shared_l2;
+      stats = Stats.create ();
+      cycle = 0;
+      fetch_stall = 0;
+      fetch_stall_source = Recover_mispredict;
+      fetch_mode = Normal;
+      last_fetch_block = -1;
+      fetch_enabled = true;
+      observer = None;
+      phase_probe = None;
+      cycle_fn = ignore }
+  in
+  t.cycle_fn <- make_cycle t;
+  t
+
+let create ?config trace = create_from_source ?config (Source.of_array trace)
+
+let step t = t.cycle_fn ()
 
 let fetch_mode_name t =
   match t.fetch_mode with
@@ -1252,1063 +2031,3 @@ let run ?(max_cycles = 1_000_000_000L) t =
       assert false (* no deadline or commit target was installed *)
 
 let simulate ?config trace = run (create ?config trace)
-
-(* ------------------------------------------------------------------ *)
-(* Engine specialization (DESIGN.md §14): staged monomorphic variants.
-
-   [Staged] rebuilds the per-cycle phases with the configuration facts
-   of one grid point bound once, at functor application: the issue
-   width, organization and scheduler branches, memory-port limits,
-   penalties and the functional-unit table stop being per-cycle Config
-   reads. The rewritten phases are also allocation-free — loop state
-   travels in function parameters instead of the [ref] cells the
-   generic (readable, reference) engine uses, and ROB walks are index
-   loops instead of closures over those refs.
-
-   Correctness contract: a variant must be bit-identical to the
-   generic engine — same cycle count, same value in every Stats
-   counter, same observer event stream in the same order, same probe
-   sites. Every phase below is a line-by-line transcription of its
-   generic counterpart with the constants substituted; the three-way
-   differential suite (test_spec.ml) holds them to it. [install]
-   refuses a configuration that disagrees with any frozen constant. *)
-
-module type STATIC_CONFIG = sig
-  val width : int
-  val rob_entries : int
-  val lsq_entries : int
-  val alu_count : int
-  val alu_latency : int
-  val mult_count : int
-  val mult_latency : int
-  val div_count : int
-  val div_latency : int
-  val mem_read_ports : int
-  val mem_write_ports : int
-  val misfetch_penalty : int
-  val misspeculation_penalty : int
-  val organization : Config.organization
-  val scheduler : Config.scheduler
-end
-
-module Staged (S : STATIC_CONFIG) = struct
-  let optimized = Config.is_optimized S.organization
-
-  let event =
-    match S.scheduler with Config.Event -> true | Config.Scan -> false
-
-  (* Once per functor application, never per cycle. *)
-  let name =
-    (* resim-lint: allow *)
-    Printf.sprintf "%s-%s-w%d-rob%d-lsq%d-rp%dwp%d"
-      (Config.organization_name S.organization)
-      (Config.scheduler_name S.scheduler)
-      S.width S.rob_entries S.lsq_entries S.mem_read_ports S.mem_write_ports
-
-  let matches (c : Config.t) =
-    c.Config.width = S.width
-    && c.Config.rob_entries = S.rob_entries
-    && c.Config.lsq_entries = S.lsq_entries
-    && c.Config.alu_count = S.alu_count
-    && c.Config.alu_latency = S.alu_latency
-    && c.Config.mult_count = S.mult_count
-    && c.Config.mult_latency = S.mult_latency
-    && c.Config.div_count = S.div_count
-    && c.Config.div_latency = S.div_latency
-    && c.Config.mem_read_ports = S.mem_read_ports
-    && c.Config.mem_write_ports = S.mem_write_ports
-    && c.Config.misfetch_penalty = S.misfetch_penalty
-    && c.Config.misspeculation_penalty = S.misspeculation_penalty
-    && (match (c.Config.organization, S.organization) with
-       | Config.Simple, Config.Simple
-       | Config.Improved, Config.Improved
-       | Config.Optimized, Config.Optimized ->
-           true
-       | ( (Config.Simple | Config.Improved | Config.Optimized),
-           (Config.Simple | Config.Improved | Config.Optimized) ) ->
-           false)
-    && match (c.Config.scheduler, S.scheduler) with
-       | Config.Scan, Config.Scan | Config.Event, Config.Event -> true
-       | (Config.Scan | Config.Event), (Config.Scan | Config.Event) ->
-           false
-
-  (* The per-cycle implementation is built at [install] time as one
-     closure family over the engine: [make_run] resolves every
-     statistics cell, queue, and sub-component exactly once, rebinds
-     the frozen constants as immediates, and defines the phases as
-     local functions so intra-cycle calls stay direct (the functor's
-     module fields would be called through [caml_apply] otherwise —
-     this build has no flambda, so the structure of the code IS the
-     optimization). Loop state travels in function parameters instead
-     of the [ref] cells the generic (readable, reference) engine uses,
-     and ROB walks are index loops instead of closures.
-
-     Every phase is a line-by-line transcription of its generic
-     counterpart with the constants substituted and the accessor
-     indirections resolved; the three-way differential suite
-     (test_spec.ml) holds them to bit-identity. *)
-
-  let make_run (t : t) =
-    (* Frozen grid-point constants, rebound as locals so the closures
-       capture immediates rather than module fields. *)
-    let width = S.width in
-    let read_ports = S.mem_read_ports in
-    let write_ports = S.mem_write_ports in
-    let alu_count = S.alu_count in
-    let alu_latency = S.alu_latency in
-    let mult_count = S.mult_count in
-    let mult_latency = S.mult_latency in
-    let div_latency = S.div_latency in
-    let misspeculation_penalty = S.misspeculation_penalty in
-    let optimized = optimized in
-    let event = event in
-    (* Engine components, resolved once. *)
-    let stats = t.stats in
-    let rob = t.rob in
-    let lsq = t.lsq in
-    let fu = t.fu in
-    let rename = t.rename in
-    let ifq = t.ifq in
-    let decouple = t.decouple in
-    let completion = t.completion in
-    let due = t.due in
-    let ready = t.ready in
-    let source = t.source in
-    let dcache = t.dcache in
-    let icache = t.icache in
-    let predictor = t.predictor in
-    let block_bytes = t.s_block_bytes in
-    let icache_hit_latency = (Cache.timing (Hierarchy.l1 icache)).hit_latency in
-    (* A perfect L1 never misses, so the hierarchy walk collapses to
-       three counter bumps and the constant hit latency; the closure is
-       chosen once here. Real geometries keep the full access. *)
-    let staged_access hierarchy =
-      let l1 = Hierarchy.l1 hierarchy in
-      match Cache.config l1 with
-      | Cache.Perfect ->
-          let c = Cache.counters l1 in
-          let latency = (Cache.timing l1).hit_latency in
-          fun _addr _write ->
-            c.Cache.accesses <- c.Cache.accesses + 1;
-            c.Cache.clock <- c.Cache.clock + 1;
-            c.Cache.hits <- c.Cache.hits + 1;
-            latency
-      | Cache.Set_associative _ ->
-          fun addr write -> Hierarchy.access hierarchy ~addr ~write
-    in
-    let dcache_access = staged_access dcache in
-    let icache_access = staged_access icache in
-    let rob_ring = rob.Rob.ring in
-    let producers = rename.Rename.producers in
-    let register_count = Array.length producers in
-    let no_producer = Entry.no_producer in
-    let no_unit = Fu.no_unit in
-    let commit_widths = Stats.commit_width_histogram stats in
-    let issue_widths = Stats.issue_width_histogram stats in
-    (* Whole-array sources expose their length once so the per-cycle
-       end-of-trace check is a bare compare; pull sources keep the
-       ordinary calls. *)
-    let source_limit =
-      match source with
-      | Source.Whole records -> Array.length records
-      | Source.Windowed _ -> -1
-    in
-    let source_has index =
-      if source_limit >= 0 then index >= 0 && index < source_limit
-      else Source.has source index
-    in
-    let source_get index =
-      match source with
-      | Source.Whole records ->
-          if index < 0 || index >= Array.length records then
-            invalid_arg "Source.get: out of range";
-          records.(index)
-      | Source.Windowed _ -> Source.get source index
-    in
-    (* Constant-time queue operations, transcribed over the exposed
-       representations (ring.mli, event_queue.mli): [-opaque] keeps the
-       cross-module originals out of line in the default build, and
-       these run a dozen-plus times per cycle. Guards and exception
-       messages match the originals exactly. *)
-    let ring_front r =
-      if r.Ring.length = 0 then invalid_arg "Ring.front: empty";
-      r.Ring.slots.(r.Ring.head)
-    in
-    let ring_get r i =
-      if i < 0 || i >= r.Ring.length then invalid_arg "Ring.get: out of range";
-      let j = r.Ring.head + i in
-      r.Ring.slots.(if j >= r.Ring.capacity then j - r.Ring.capacity else j)
-    in
-    let ring_drop r =
-      if r.Ring.length = 0 then invalid_arg "Ring.drop: empty";
-      let next = r.Ring.head + 1 in
-      r.Ring.head <- (if next >= r.Ring.capacity then 0 else next);
-      r.Ring.length <- r.Ring.length - 1
-    in
-    let ring_push r value =
-      if r.Ring.length = r.Ring.capacity then failwith "Ring.push: full";
-      if Array.length r.Ring.slots = 0 then
-        r.Ring.slots <- Array.make r.Ring.capacity value;
-      let j = r.Ring.head + r.Ring.length in
-      r.Ring.slots.(if j >= r.Ring.capacity then j - r.Ring.capacity else j) <-
-        value;
-      r.Ring.length <- r.Ring.length + 1
-    in
-    let eq_is_empty (q : _ Event_queue.t) = q.Event_queue.size = 0 in
-    let eq_min_at (q : _ Event_queue.t) =
-      if q.Event_queue.size = 0 then max_int else q.Event_queue.at.(0)
-    in
-    let eq_top (q : _ Event_queue.t) =
-      if q.Event_queue.size = 0 then invalid_arg "Event_queue.top: empty";
-      q.Event_queue.payload.(0)
-    in
-    (* [Event_queue.push]/[drop] unfolded, with the four column arrays
-       hoisted into locals around the sift loops. Key order is the same
-       lexicographic (at, id, seq). *)
-    let eq_grow (q : Entry.t Event_queue.t) payload =
-      let capacity = Array.length q.Event_queue.at in
-      if q.Event_queue.size = capacity then begin
-        let grown = if capacity < 8 then 16 else 2 * capacity in
-        let at = Array.make grown 0 in
-        let id = Array.make grown 0 in
-        let seq = Array.make grown 0 in
-        let payloads = Array.make grown payload in
-        Array.blit q.Event_queue.at 0 at 0 q.Event_queue.size;
-        Array.blit q.Event_queue.id 0 id 0 q.Event_queue.size;
-        Array.blit q.Event_queue.seq 0 seq 0 q.Event_queue.size;
-        Array.blit q.Event_queue.payload 0 payloads 0 q.Event_queue.size;
-        q.Event_queue.at <- at;
-        q.Event_queue.id <- id;
-        q.Event_queue.seq <- seq;
-        q.Event_queue.payload <- payloads
-      end
-    in
-    let eq_push (q : Entry.t Event_queue.t) ~at ~id payload =
-      let seq = q.Event_queue.stamp in
-      q.Event_queue.stamp <- seq + 1;
-      eq_grow q payload;
-      let ats = q.Event_queue.at
-      and ids = q.Event_queue.id
-      and seqs = q.Event_queue.seq
-      and payloads = q.Event_queue.payload in
-      let i = ref q.Event_queue.size in
-      q.Event_queue.size <- !i + 1;
-      let continue_ = ref true in
-      while !continue_ && !i > 0 do
-        let parent = (!i - 1) / 2 in
-        if
-          at < ats.(parent)
-          || (at = ats.(parent)
-              && (id < ids.(parent)
-                  || (id = ids.(parent) && seq < seqs.(parent))))
-        then begin
-          ats.(!i) <- ats.(parent);
-          ids.(!i) <- ids.(parent);
-          seqs.(!i) <- seqs.(parent);
-          payloads.(!i) <- payloads.(parent);
-          i := parent
-        end
-        else continue_ := false
-      done;
-      ats.(!i) <- at;
-      ids.(!i) <- id;
-      seqs.(!i) <- seq;
-      payloads.(!i) <- payload
-    in
-    let eq_drop (q : Entry.t Event_queue.t) =
-      if q.Event_queue.size = 0 then invalid_arg "Event_queue.drop: empty";
-      q.Event_queue.size <- q.Event_queue.size - 1;
-      let size = q.Event_queue.size in
-      if size > 0 then begin
-        let ats = q.Event_queue.at
-        and ids = q.Event_queue.id
-        and seqs = q.Event_queue.seq
-        and payloads = q.Event_queue.payload in
-        let at = ats.(size)
-        and id = ids.(size)
-        and seq = seqs.(size) in
-        let payload = payloads.(size) in
-        let i = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
-          let left = (2 * !i) + 1 in
-          if left >= size then continue_ := false
-          else begin
-            let right = left + 1 in
-            let child =
-              if
-                right < size
-                && (ats.(right) < ats.(left)
-                    || (ats.(right) = ats.(left)
-                        && (ids.(right) < ids.(left)
-                            || (ids.(right) = ids.(left)
-                                && seqs.(right) < seqs.(left)))))
-              then right
-              else left
-            in
-            if
-              ats.(child) < at
-              || (ats.(child) = at
-                  && (ids.(child) < id
-                      || (ids.(child) = id && seqs.(child) < seq)))
-            then begin
-              ats.(!i) <- ats.(child);
-              ids.(!i) <- ids.(child);
-              seqs.(!i) <- seqs.(child);
-              payloads.(!i) <- payloads.(child);
-              i := child
-            end
-            else continue_ := false
-          end
-        done;
-        ats.(!i) <- at;
-        ids.(!i) <- id;
-        seqs.(!i) <- seq;
-        payloads.(!i) <- payload
-      end
-    in
-    (* Functional-unit allocation over the exposed pool record; the
-       frozen counts and latencies are already in scope. *)
-    let alloc_alu () =
-      if fu.Fu.alu_used < alu_count then begin
-        fu.Fu.alu_used <- fu.Fu.alu_used + 1;
-        fu.Fu.alu_allocations <- fu.Fu.alu_allocations + 1;
-        alu_latency
-      end
-      else no_unit
-    in
-    let alloc_mult () =
-      if fu.Fu.mult_used < mult_count then begin
-        fu.Fu.mult_used <- fu.Fu.mult_used + 1;
-        mult_latency
-      end
-      else no_unit
-    in
-    let alloc_div now =
-      let busy = fu.Fu.div_busy_until in
-      let rec scan i =
-        if i >= Array.length busy then no_unit
-        else if busy.(i) <= now then begin
-          busy.(i) <- now + div_latency;
-          div_latency
-        end
-        else scan (i + 1)
-      in
-      scan 0
-    in
-    (* Rename-table lookups over the exposed producer array. *)
-    let producer_of reg =
-      if reg <= 0 || reg >= register_count then no_producer
-      else producers.(reg)
-    in
-    let observe_width (h : Histogram.t) value =
-      let bins = Array.length h.Histogram.counts in
-      let slot =
-        if value < 0 then 0 else if value >= bins then bins - 1 else value
-      in
-      h.Histogram.counts.(slot) <- h.Histogram.counts.(slot) + 1;
-      h.Histogram.total <- h.Histogram.total + 1
-    in
-    (* Statistics cells, resolved once; bumps are raw ref arithmetic. *)
-    let st_committed = Stats.live Stats.committed stats in
-    let st_committed_branches = Stats.live Stats.committed_branches stats in
-    let st_committed_cond_branches =
-      Stats.live Stats.committed_cond_branches stats
-    in
-    let st_committed_loads = Stats.live Stats.committed_loads stats in
-    let st_committed_stores = Stats.live Stats.committed_stores stats in
-    let st_committed_mult_div = Stats.live Stats.committed_mult_div stats in
-    let st_mispredictions = Stats.live Stats.mispredictions stats in
-    let st_forwarded_loads = Stats.live Stats.forwarded_loads stats in
-    let st_dispatched = Stats.live Stats.dispatched stats in
-    let st_issued = Stats.live Stats.issued stats in
-    let st_fetched = Stats.live Stats.fetched stats in
-    let st_fetched_wrong_path = Stats.live Stats.fetched_wrong_path stats in
-    let st_discarded_wrong_path =
-      Stats.live Stats.discarded_wrong_path stats
-    in
-    let st_icache_stall_cycles = Stats.live Stats.icache_stall_cycles stats in
-    let st_major_cycles = Stats.live Stats.major_cycles stats in
-    let st_write_port_stalls = Stats.live Stats.write_port_stalls stats in
-    let st_read_port_stalls = Stats.live Stats.read_port_stalls stats in
-    let st_fu_busy_stalls = Stats.live Stats.fu_busy_stalls stats in
-    let st_ifq_empty_stalls = Stats.live Stats.ifq_empty_stalls stats in
-    let st_rob_full_stalls = Stats.live Stats.rob_full_stalls stats in
-    let st_lsq_full_stalls = Stats.live Stats.lsq_full_stalls stats in
-    (* [charge_stall] with the cell pre-resolved. *)
-    let charge cell reason =
-      Stdlib.incr cell;
-      if observed t then notify t (Ev_stall reason)
-    in
-    (* Entry and record predicates, flattened to local tag matches (the
-       cross-module [Entry.is_*] helpers are out-of-line calls in a
-       non-flambda dev build). *)
-    let entry_is_dispatched (entry : Entry.t) =
-      match entry.Entry.state with
-      | Entry.Dispatched -> true
-      | Entry.Issued | Entry.Completed -> false
-    in
-    let entry_is_issued (entry : Entry.t) =
-      match entry.Entry.state with
-      | Entry.Issued -> true
-      | Entry.Dispatched | Entry.Completed -> false
-    in
-    let entry_is_completed (entry : Entry.t) =
-      match entry.Entry.state with
-      | Entry.Completed -> true
-      | Entry.Dispatched | Entry.Issued -> false
-    in
-    let entry_is_load (entry : Entry.t) =
-      match entry.Entry.record.Trace.Record.payload with
-      | Trace.Record.Memory { is_load; _ } -> is_load
-      | Trace.Record.Branch _ | Trace.Record.Other _ -> false
-    in
-    let entry_is_store (entry : Entry.t) =
-      match entry.Entry.record.Trace.Record.payload with
-      | Trace.Record.Memory { is_load; _ } -> not is_load
-      | Trace.Record.Branch _ | Trace.Record.Other _ -> false
-    in
-    let record_is_memory (record : Trace.Record.t) =
-      match record.Trace.Record.payload with
-      | Trace.Record.Memory _ -> true
-      | Trace.Record.Branch _ | Trace.Record.Other _ -> false
-    in
-    let sources_ready (entry : Entry.t) =
-      entry.Entry.src1_producer < 0 && entry.Entry.src2_producer < 0
-    in
-    (* ---- event-scheduler bookkeeping (mirrors the top-level
-       helpers, with the components pre-resolved) ---- *)
-    let push_ready (entry : Entry.t) =
-      if not entry.in_ready then begin
-        entry.in_ready <- true;
-        eq_push ready ~at:0 ~id:entry.id entry
-      end
-    in
-    let pool_load (load : Entry.t) =
-      match load.Entry.load_readiness with
-      | Entry.Load_forward | Entry.Load_needs_port -> push_ready load
-      | Entry.Load_not_checked | Entry.Load_blocked -> ()
-    in
-    let reclassify_load (load : Entry.t) =
-      Lsq.refresh_entry lsq load;
-      pool_load load
-    in
-    (* One closure for every refresh, instead of the per-call partial
-       application the generic engine allocates. *)
-    let store_resolved (store : Entry.t) =
-      Lsq.refresh_younger lsq ~than_id:store.Entry.id ~reclassified:pool_load
-    in
-    let store_retired () =
-      Lsq.refresh_younger lsq ~than_id:(-1) ~reclassified:pool_load
-    in
-    let register_dispatched (entry : Entry.t) =
-      (* [Rob.entry_by_id] unfolded: window ids are consecutive, so the
-         lookup is offset arithmetic from the head entry's id. *)
-      let register id =
-        let n = rob_ring.Ring.length in
-        let index =
-          if n = 0 then -1 else id - (ring_front rob_ring).Entry.id
-        in
-        if index < 0 || index >= n then
-          raise
-            (Trace.Fault.Trace_fault
-               { code = "RSM-T008";
-                 offset = t.cursor;
-                 context =
-                   Printf.sprintf
-                     "entry #%d depends on #%d which is not in flight \
-                      (cycle %d)"
-                     entry.id id t.cycle })
-        else begin
-          let producer : Entry.t = ring_get rob_ring index in
-          assert (producer.Entry.id = id);
-          producer.Entry.dependents <- entry :: producer.Entry.dependents
-        end
-      in
-      let src1 = entry.src1_producer in
-      let src2 = entry.src2_producer in
-      if src1 >= 0 then register src1;
-      if src2 >= 0 && src2 <> src1 then register src2;
-      if entry_is_load entry then begin
-        if sources_ready entry then reclassify_load entry
-      end
-      else if sources_ready entry then push_ready entry
-    in
-    (* ---- squash ---- *)
-    let rec mark_squashed n i than_id =
-      if i < n then begin
-        let entry : Entry.t = ring_get rob_ring i in
-        if entry.Entry.id > than_id then entry.Entry.squashed <- true;
-        mark_squashed n (i + 1) than_id
-      end
-    in
-    let rec skip_tagged () =
-      match Source.at source t.cursor with
-      | Some record when record.Trace.Record.wrong_path ->
-          t.cursor <- t.cursor + 1;
-          Stdlib.incr st_discarded_wrong_path;
-          skip_tagged ()
-      | Some _ | None -> ()
-    in
-    let squash (branch : Entry.t) =
-      if event then mark_squashed rob_ring.Ring.length 0 branch.Entry.id;
-      if observed t then begin
-        let rec notify_squashed n i =
-          if i < n then begin
-            let entry : Entry.t = ring_get rob_ring i in
-            if entry.Entry.id > branch.Entry.id then
-              notify t (Ev_squash entry);
-            notify_squashed n (i + 1)
-          end
-        in
-        notify_squashed rob_ring.Ring.length 0;
-        notify t Ev_flush_frontend
-      end;
-      ignore (Rob.squash_younger rob ~than_id:branch.Entry.id);
-      ignore (Lsq.squash_younger lsq ~than_id:branch.Entry.id);
-      Ring.clear ifq;
-      Ring.clear decouple;
-      Rename.reset rename;
-      Fu.flush fu;
-      (match branch.Entry.ras_repair with
-      | Some saved -> Bpred.Predictor.ras_restore predictor saved
-      | None -> ());
-      skip_tagged ();
-      t.fetch_mode <- Normal;
-      if misspeculation_penalty > t.fetch_stall then begin
-        t.fetch_stall <- misspeculation_penalty;
-        t.fetch_stall_source <- Recover_mispredict
-      end;
-      t.last_fetch_block <- -1
-    in
-    (* ---- commit ---- *)
-    let rec commit_loop committed write_ports_used =
-      if committed >= width then committed
-      else if rob_ring.Ring.length = 0 then committed
-      else begin
-        let entry = ring_front rob_ring in
-        if (not (entry_is_completed entry)) || entry.completed_cycle >= t.cycle
-        then committed
-        else if entry.Entry.record.Trace.Record.wrong_path then
-          raise
-            (Trace.Fault.Trace_fault
-               { code = "RSM-T005";
-                 offset = t.cursor;
-                 context =
-                   Printf.sprintf
-                     "wrong-path instruction pc=%d reached commit at cycle %d"
-                     entry.record.Trace.Record.pc t.cycle })
-        else if entry_is_store entry && write_ports_used >= write_ports
-        then begin
-          charge st_write_port_stalls Stall_write_port;
-          committed
-        end
-        else begin
-          let write_ports_used =
-            if entry_is_store entry then begin
-              (match entry.record.payload with
-              | Trace.Record.Memory { address; _ } ->
-                  ignore (dcache_access address true)
-              | Trace.Record.Branch _ | Trace.Record.Other _ -> ());
-              write_ports_used + 1
-            end
-            else write_ports_used
-          in
-          ring_drop rob_ring;
-          if record_is_memory entry.record then begin
-            Lsq.release_head lsq entry;
-            if event && entry_is_store entry then store_retired ()
-          end;
-          if observed t then notify t (Ev_commit entry);
-          Stdlib.incr st_committed;
-          let committed = committed + 1 in
-          let keep_going =
-            match entry.record.payload with
-            | Trace.Record.Branch { kind; taken; target } ->
-                Stdlib.incr st_committed_branches;
-                if Resim_isa.Opcode.is_cond_kind kind then
-                  Stdlib.incr st_committed_cond_branches;
-                Bpred.Predictor.update predictor ~pc:entry.record.pc ~kind
-                  ~taken ~target;
-                Bpred.Predictor.record_resolution predictor
-                  ~correct:(not entry.squash_on_commit);
-                if entry.squash_on_commit then begin
-                  Stdlib.incr st_mispredictions;
-                  squash entry;
-                  false
-                end
-                else true
-            | Trace.Record.Memory { is_load; _ } ->
-                if is_load then begin
-                  Stdlib.incr st_committed_loads;
-                  if entry.forwarded then Stdlib.incr st_forwarded_loads
-                end
-                else Stdlib.incr st_committed_stores;
-                true
-            | Trace.Record.Other { op_class = Trace.Record.Mult }
-            | Trace.Record.Other { op_class = Trace.Record.Divide } ->
-                Stdlib.incr st_committed_mult_div;
-                true
-            | Trace.Record.Other { op_class = Trace.Record.Alu } -> true
-          in
-          if keep_going then commit_loop committed write_ports_used
-          else committed
-        end
-      end
-    in
-    let commit_phase () = observe_width commit_widths (commit_loop 0 0) in
-    (* ---- writeback (event) ---- *)
-    let rec wake_dependents producer_id = function
-      | [] -> ()
-      | (dependent : Entry.t) :: rest ->
-          if not dependent.squashed then begin
-            let cleared1 = dependent.src1_producer = producer_id in
-            if cleared1 then dependent.src1_producer <- Entry.no_producer;
-            let cleared2 = dependent.src2_producer = producer_id in
-            if cleared2 then dependent.src2_producer <- Entry.no_producer;
-            if (cleared1 || cleared2) && entry_is_dispatched dependent then
-              if entry_is_load dependent then begin
-                if sources_ready dependent then reclassify_load dependent
-              end
-              else begin
-                if sources_ready dependent then push_ready dependent;
-                if entry_is_store dependent then store_resolved dependent
-              end
-          end;
-          wake_dependents producer_id rest
-    in
-    let wakeup_event (producer : Entry.t) =
-      let dependents = producer.Entry.dependents in
-      producer.Entry.dependents <- [];
-      wake_dependents producer.id dependents;
-      let dest = producer.record.Trace.Record.dest in
-      if dest > 0 && dest < register_count && producers.(dest) = producer.id
-      then producers.(dest) <- no_producer
-    in
-    let rec drain_completion now =
-      if eq_min_at completion <= now then begin
-        let entry : Entry.t = eq_top completion in
-        eq_drop completion;
-        if (not entry.squashed) && entry_is_issued entry then
-          eq_push due ~at:0 ~id:entry.id entry;
-        drain_completion now
-      end
-    in
-    let rec broadcast_loop now n =
-      if n < width && not (eq_is_empty due) then begin
-        let entry : Entry.t = eq_top due in
-        eq_drop due;
-        if (not entry.squashed) && entry_is_issued entry then begin
-          entry.state <- Entry.Completed;
-          entry.completed_cycle <- now;
-          if observed t then notify t (Ev_complete entry);
-          wakeup_event entry;
-          broadcast_loop now (n + 1)
-        end
-        else broadcast_loop now n
-      end
-    in
-    let writeback_phase_event () =
-      drain_completion t.cycle;
-      broadcast_loop t.cycle 0
-    in
-    (* ---- writeback (scan) ---- *)
-    let rec wakeup_scan_loop n i producer_id =
-      if i < n then begin
-        let dependent : Entry.t = ring_get rob_ring i in
-        if dependent.src1_producer = producer_id then
-          dependent.src1_producer <- Entry.no_producer;
-        if dependent.src2_producer = producer_id then
-          dependent.src2_producer <- Entry.no_producer;
-        wakeup_scan_loop n (i + 1) producer_id
-      end
-    in
-    let wakeup_scan (producer : Entry.t) =
-      wakeup_scan_loop rob_ring.Ring.length 0 producer.Entry.id;
-      let dest = producer.record.Trace.Record.dest in
-      if dest > 0 && dest < register_count && producers.(dest) = producer.id
-      then producers.(dest) <- no_producer
-    in
-    let rec writeback_scan_loop n i broadcast =
-      if i < n && broadcast < width then begin
-        let entry : Entry.t = ring_get rob_ring i in
-        if entry_is_issued entry && entry.complete_at <= t.cycle then begin
-          entry.state <- Entry.Completed;
-          entry.completed_cycle <- t.cycle;
-          if observed t then notify t (Ev_complete entry);
-          wakeup_scan entry;
-          writeback_scan_loop n (i + 1) (broadcast + 1)
-        end
-        else writeback_scan_loop n (i + 1) broadcast
-      end
-    in
-    let writeback_phase_scan () = writeback_scan_loop rob_ring.Ring.length 0 0 in
-    (* ---- issue ---- *)
-    let try_issue ~reads_used (entry : Entry.t) =
-      match entry.record.payload with
-      | Trace.Record.Other { op_class } ->
-          if not (sources_ready entry) then verdict_not_ready
-          else begin
-            let verdict =
-              match op_class with
-              | Trace.Record.Alu -> alloc_alu ()
-              | Trace.Record.Mult -> alloc_mult ()
-              | Trace.Record.Divide -> alloc_div t.cycle
-            in
-            if verdict < 0 then charge st_fu_busy_stalls Stall_fu_busy;
-            verdict
-          end
-      | Trace.Record.Branch _ ->
-          if not (sources_ready entry) then verdict_not_ready
-          else begin
-            let verdict = alloc_alu () in
-            if verdict < 0 then charge st_fu_busy_stalls Stall_fu_busy;
-            verdict
-          end
-      | Trace.Record.Memory { is_load = false; _ } ->
-          if not (sources_ready entry) then verdict_not_ready
-          else if alloc_alu () >= 0 then 1
-          else begin
-            charge st_fu_busy_stalls Stall_fu_busy;
-            verdict_no_unit
-          end
-      | Trace.Record.Memory { is_load = true; address } -> (
-          match entry.load_readiness with
-          | Entry.Load_not_checked | Entry.Load_blocked -> verdict_not_ready
-          | Entry.Load_forward ->
-              if alloc_alu () >= 0 then begin
-                entry.forwarded <- true;
-                1
-              end
-              else begin
-                charge st_fu_busy_stalls Stall_fu_busy;
-                verdict_no_unit
-              end
-          | Entry.Load_needs_port ->
-              if reads_used >= read_ports then begin
-                charge st_read_port_stalls Stall_read_port;
-                verdict_no_unit
-              end
-              else if alloc_alu () >= 0 then begin
-                let access = dcache_access address false in
-                1 + access
-              end
-              else begin
-                charge st_fu_busy_stalls Stall_fu_busy;
-                verdict_no_unit
-              end)
-    in
-    (* A successful issue consumed a read port exactly when the load
-       had classified as needing one; [try_issue] never changes the
-       classification, so the caller can read it afterwards. *)
-    let consumed_read_port (entry : Entry.t) verdict =
-      verdict >= 0
-      &&
-      match entry.load_readiness with
-      | Entry.Load_needs_port -> true
-      | Entry.Load_not_checked | Entry.Load_blocked | Entry.Load_forward ->
-          false
-    in
-    let issue_entry (entry : Entry.t) ~latency =
-      entry.Entry.state <- Entry.Issued;
-      entry.Entry.complete_at <- t.cycle + latency;
-      if event then
-        eq_push completion ~at:entry.Entry.complete_at
-          ~id:entry.Entry.id entry;
-      if observed t then notify t (Ev_issue entry);
-      Stdlib.incr st_issued
-    in
-    (* Event issue. The Optimized first-slot pass returns the issued
-       entry's id (or -1): non-loads never consume read ports, so
-       [reads_used] is still 0 when the main walk starts. *)
-    let rec first_slot_event i =
-      if i >= t.candidate_count then -1
-      else begin
-        let entry = t.candidates.(i) in
-        if entry_is_load entry then first_slot_event (i + 1)
-        else begin
-          let verdict = try_issue ~reads_used:0 entry in
-          if verdict >= 0 then begin
-            issue_entry entry ~latency:verdict;
-            entry.id
-          end
-          else first_slot_event (i + 1)
-        end
-      end
-    in
-    let rec issue_event_loop i slots_used reads_used first_id =
-      if i >= t.candidate_count then slots_used
-      else begin
-        let entry = t.candidates.(i) in
-        if entry.id = first_id then
-          issue_event_loop (i + 1) slots_used reads_used first_id
-        else if slots_used >= width then begin
-          (* Past the width cutoff the scan stops visiting entries, so
-             charge no stalls — just keep them ready for next cycle. *)
-          push_ready entry;
-          issue_event_loop (i + 1) slots_used reads_used first_id
-        end
-        else begin
-          let verdict = try_issue ~reads_used entry in
-          if verdict >= 0 then begin
-            issue_entry entry ~latency:verdict;
-            issue_event_loop (i + 1) (slots_used + 1)
-              (if consumed_read_port entry verdict then reads_used + 1
-               else reads_used)
-              first_id
-          end
-          else begin
-            push_ready entry;
-            issue_event_loop (i + 1) slots_used reads_used first_id
-          end
-        end
-      end
-    in
-    let rec drain_ready () =
-      if not (eq_is_empty ready) then begin
-        let entry : Entry.t = eq_top ready in
-        eq_drop ready;
-        entry.in_ready <- false;
-        if (not entry.squashed) && entry_is_dispatched entry then
-          push_candidate t entry;
-        drain_ready ()
-      end
-    in
-    let issue_phase_event () =
-      fu.Fu.alu_used <- 0;
-      fu.Fu.mult_used <- 0;
-      t.candidate_count <- 0;
-      drain_ready ();
-      let first_id = if optimized then first_slot_event 0 else -1 in
-      let slots = if first_id >= 0 then 1 else 0 in
-      let slots = issue_event_loop 0 slots 0 first_id in
-      observe_width issue_widths slots
-    in
-    (* Scan issue: the first-slot pass leaves the winner Issued, so the
-       main walk's dispatched filter skips it without id tracking. *)
-    let rec first_slot_scan n i =
-      if i >= n then 0
-      else begin
-        let entry : Entry.t = ring_get rob_ring i in
-        if entry_is_dispatched entry && not (entry_is_load entry) then begin
-          let verdict = try_issue ~reads_used:0 entry in
-          if verdict >= 0 then begin
-            issue_entry entry ~latency:verdict;
-            1
-          end
-          else first_slot_scan n (i + 1)
-        end
-        else first_slot_scan n (i + 1)
-      end
-    in
-    let rec issue_scan_loop n i slots_used reads_used =
-      if i >= n || slots_used >= width then slots_used
-      else begin
-        let entry : Entry.t = ring_get rob_ring i in
-        if entry_is_dispatched entry then begin
-          let verdict = try_issue ~reads_used entry in
-          if verdict >= 0 then begin
-            issue_entry entry ~latency:verdict;
-            issue_scan_loop n (i + 1) (slots_used + 1)
-              (if consumed_read_port entry verdict then reads_used + 1
-               else reads_used)
-          end
-          else issue_scan_loop n (i + 1) slots_used reads_used
-        end
-        else issue_scan_loop n (i + 1) slots_used reads_used
-      end
-    in
-    let issue_phase_scan () =
-      fu.Fu.alu_used <- 0;
-      fu.Fu.mult_used <- 0;
-      let n = rob_ring.Ring.length in
-      let first = if optimized then first_slot_scan n 0 else 0 in
-      let slots = issue_scan_loop n 0 first 0 in
-      observe_width issue_widths slots
-    in
-    (* ---- dispatch / decouple ---- *)
-    let rec dispatch_loop count =
-      if count >= width then ()
-      else if decouple.Ring.length = 0 then
-        charge st_ifq_empty_stalls Stall_ifq_empty
-      else begin
-        let fetched = ring_front decouple in
-        if rob_ring.Ring.length = rob_ring.Ring.capacity then
-          charge st_rob_full_stalls Stall_rob_full
-        else if record_is_memory fetched.record && Lsq.is_full lsq then
-          charge st_lsq_full_stalls Stall_lsq_full
-        else begin
-          ring_drop decouple;
-          (* [Rob.dispatch] unfolded over the exposed window, with
-             [Entry.make]'s literal allocated in place. *)
-          let entry =
-            { Entry.id = rob.Rob.sequence;
-              record = fetched.record;
-              src1_producer = no_producer;
-              src2_producer = no_producer;
-              state = Entry.Dispatched;
-              complete_at = max_int;
-              completed_cycle = max_int;
-              load_readiness = Entry.Load_not_checked;
-              forwarded = false;
-              squash_on_commit = false;
-              ras_repair = None;
-              dependents = [];
-              in_ready = false;
-              squashed = false }
-          in
-          rob.Rob.sequence <- rob.Rob.sequence + 1;
-          ring_push rob_ring entry;
-          entry.squash_on_commit <- fetched.squash_at_commit;
-          entry.ras_repair <- fetched.ras_repair;
-          entry.src1_producer <- producer_of fetched.record.src1;
-          entry.src2_producer <- producer_of fetched.record.src2;
-          let dest = fetched.record.dest in
-          if dest > 0 && dest < register_count then
-            producers.(dest) <- entry.id;
-          if record_is_memory fetched.record then Lsq.dispatch lsq entry;
-          if event then register_dispatched entry;
-          if observed t then notify t (Ev_dispatch entry);
-          Stdlib.incr st_dispatched;
-          dispatch_loop (count + 1)
-        end
-      end
-    in
-    let dispatch_phase () = dispatch_loop 0 in
-    let rec decouple_loop moved =
-      if
-        moved < width
-        && ifq.Ring.length <> 0
-        && decouple.Ring.length <> decouple.Ring.capacity
-      then begin
-        let moved_record = ring_front ifq in
-        ring_drop ifq;
-        ring_push decouple moved_record;
-        decouple_loop (moved + 1)
-      end
-    in
-    let decouple_phase () = decouple_loop 0 in
-    (* ---- fetch ---- *)
-    (* [fetch_phase] with the loop state in parameters; the stall-burn
-       branch and [fetch_control] are shared with the generic engine
-       (both already read hoisted constants). *)
-    let rec fetch_loop count =
-      if count < width && ifq.Ring.length <> ifq.Ring.capacity then begin
-        if source_has t.cursor then begin
-          let record = source_get t.cursor in
-          match t.fetch_mode with
-          | Awaiting_resolution -> ()
-          | Wrong_path when not record.wrong_path ->
-              t.fetch_mode <- Awaiting_resolution
-          | Normal when record.wrong_path ->
-              t.cursor <- t.cursor + 1;
-              Stdlib.incr st_discarded_wrong_path;
-              fetch_loop count
-          | Normal | Wrong_path ->
-              let byte_addr = Resim_isa.Instruction.byte_address record.pc in
-              let block = byte_addr / block_bytes in
-              let stalled_on_icache =
-                if block = t.last_fetch_block then false
-                else begin
-                  let latency = icache_access byte_addr false in
-                  t.last_fetch_block <- block;
-                  let extra = latency - icache_hit_latency in
-                  if extra > 0 then begin
-                    t.fetch_stall <- extra;
-                    t.fetch_stall_source <- Recover_icache;
-                    st_icache_stall_cycles := !st_icache_stall_cycles + extra;
-                    true
-                  end
-                  else false
-                end
-              in
-              if not stalled_on_icache then begin
-                t.cursor <- t.cursor + 1;
-                Stdlib.incr st_fetched;
-                if record.wrong_path then Stdlib.incr st_fetched_wrong_path;
-                let fetched, taken =
-                  match record.payload with
-                  | Trace.Record.Branch { kind; taken; target } ->
-                      fetch_control t record ~kind ~taken ~target
-                  | Trace.Record.Memory _ | Trace.Record.Other _ ->
-                      ( { record;
-                          squash_at_commit = false;
-                          ras_repair = None },
-                        false )
-                in
-                ring_push ifq fetched;
-                if observed t then notify t (Ev_fetch record);
-                (* Fetch until a control-flow bubble (§III). *)
-                if not taken then fetch_loop (count + 1)
-              end
-        end
-      end
-    in
-    let fetch_phase () =
-      if not t.fetch_enabled then ()
-      else if t.fetch_stall > 0 then burn_fetch_stall t
-      else begin
-        if source_limit < 0 then Source.release_below source t.cursor;
-        fetch_loop 0
-      end
-    in
-    (* ---- the cycle ---- *)
-    let account () =
-      Stats.sample_occupancy stats ~ifq:ifq.Ring.length
-        ~rob:rob_ring.Ring.length ~lsq:(Lsq.length lsq);
-      t.cycle <- t.cycle + 1;
-      Stdlib.incr st_major_cycles
-    in
-    let finished_here () =
-      (not (source_has t.cursor))
-      && ifq.Ring.length = 0
-      && decouple.Ring.length = 0
-      && rob_ring.Ring.length = 0
-    in
-    let step_event () =
-      if not (finished_here ()) then begin
-        probe t Ph_commit;
-        commit_phase ();
-        probe t Ph_writeback;
-        writeback_phase_event ();
-        probe t Ph_issue;
-        issue_phase_event ();
-        probe t Ph_dispatch;
-        dispatch_phase ();
-        probe t Ph_decouple;
-        decouple_phase ();
-        probe t Ph_fetch;
-        fetch_phase ();
-        probe t Ph_account;
-        account ()
-      end
-    in
-    let step_scan () =
-      if not (finished_here ()) then begin
-        probe t Ph_commit;
-        commit_phase ();
-        probe t Ph_writeback;
-        writeback_phase_scan ();
-        Lsq.refresh lsq;
-        probe t Ph_issue;
-        issue_phase_scan ();
-        probe t Ph_dispatch;
-        dispatch_phase ();
-        probe t Ph_decouple;
-        decouple_phase ();
-        probe t Ph_fetch;
-        fetch_phase ();
-        probe t Ph_account;
-        account ()
-      end
-    in
-    if event then fun (_ : t) -> step_event () else fun (_ : t) -> step_scan ()
-
-  let install t =
-    if not (matches t.config) then
-      invalid_arg
-        (Printf.sprintf
-           "Engine.Staged.install: configuration does not match variant %s"
-           name);
-    set_stepper t ~name (make_run t)
-end

@@ -1,11 +1,12 @@
 (** The ReSim timing engine.
 
-    Consumes a pre-decoded trace and simulates the out-of-order processor
-    of Figure 1 one major cycle at a time. Architectural semantics are
-    enforced at major-cycle boundaries; each major cycle is charged
-    [L(N)] minor cycles according to the configured internal organization
-    (§IV) — the three organizations are timing-equivalent at major-cycle
-    granularity by design, which a property test asserts.
+    Consumes a {!Source} of trace records and simulates the
+    out-of-order processor of Figure 1 one major cycle at a time.
+    Architectural semantics are enforced at major-cycle boundaries; each
+    major cycle is charged [L(N)] minor cycles according to the
+    configured internal organization (§IV) — the three organizations
+    are timing-equivalent at major-cycle granularity by design, which a
+    property test asserts.
 
     Within a major cycle the engine applies stage effects in the
     simulated-semantics order commit → writeback → Lsq_refresh → issue →
@@ -130,7 +131,8 @@ val pipeline_empty : t -> bool
     switching between detailed and functional simulation. *)
 
 val step : t -> unit
-(** Simulate one major cycle. No-op once {!finished}. *)
+(** Simulate one major cycle with the configured scheduler (Scan or
+    Event; both produce the same timing). No-op once {!finished}. *)
 
 val drain : t -> unit
 (** Finish every in-flight instruction without fetching new ones,
@@ -220,68 +222,13 @@ val simulate :
   ?config:Config.t -> Resim_trace.Record.t array -> Stats.t
 (** [create] + [run]. *)
 
-(** {1 Engine specialization — staged variants (DESIGN.md §14)}
+(** {1 Test oracle} *)
 
-    The per-cycle implementation behind {!step} is swappable: the
-    generic engine interprets the frozen configuration every cycle,
-    while a staged variant built by {!Staged} runs monomorphic phase
-    code with the configuration constants bound once at functor
-    application — following Reshadi & Dutt's generated cycle-accurate
-    simulators. Variants are required to be bit-identical to the
-    generic engine (cycles, every {!Stats} counter, the pipetrace
-    event stream); the three-way differential suite proves it. Variant
-    selection policy (the pre-instantiated grid, [Auto]/[Always]/
-    [Never]) lives in [Resim_spec.Spec] — this module only provides
-    the mechanism. *)
-
-(** The configuration facts a staged variant freezes as compile-time
-    constants. Anything not listed here (queue geometries other than
-    ROB/LSQ, caches, predictor) stays runtime state read from the
-    engine. *)
-module type STATIC_CONFIG = sig
-  val width : int
-  val rob_entries : int
-  val lsq_entries : int
-  val alu_count : int
-  val alu_latency : int
-  val mult_count : int
-  val mult_latency : int
-  val div_count : int
-  val div_latency : int
-  val mem_read_ports : int
-  val mem_write_ports : int
-  val misfetch_penalty : int
-  val misspeculation_penalty : int
-  val organization : Config.organization
-  val scheduler : Config.scheduler
-end
-
-(** A staged engine variant: allocation-free monomorphic per-cycle
-    code specialized to one [STATIC_CONFIG] point. *)
-module Staged (_ : STATIC_CONFIG) : sig
-  val name : string
-  (** Stable variant identifier (reported by {!variant}, the CLI and
-      profile/metrics JSON). *)
-
-  val matches : Config.t -> bool
-  (** Whether a runtime configuration agrees with every frozen
-      constant — the bit-identity precondition for {!install}. *)
-
-  val install : t -> unit
-  (** Make {!step} run this variant. Raises [Invalid_argument] when
-      the engine's configuration does not {!matches} — installing a
-      mismatched variant would silently change simulated timing. *)
-end
-
-val set_stepper : t -> name:string -> (t -> unit) -> unit
-(** Install a per-cycle implementation (the specialization layer's
-    hook; {!Staged.install} validates and calls this). The stepper
-    must preserve the generic engine's observable behavior exactly. *)
-
-val clear_stepper : t -> unit
-(** Revert {!step} to the generic engine. *)
-
-val is_specialized : t -> bool
-
-val variant : t -> string option
-(** Name of the installed variant, or [None] on the generic engine. *)
+val reference_step : t -> unit
+(** Simulate one major cycle with the Scan oracle: the timing model's
+    plain statement, ROB scans and all, whatever [scheduler] the
+    configuration names. It exists for differential tests, which run
+    one engine with {!step} and a twin with [reference_step] and
+    require the same cycles, statistics and event stream; no simulator
+    path calls it. Drive one engine with one stepper only. No-op once
+    {!finished}. *)

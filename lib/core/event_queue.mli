@@ -14,8 +14,8 @@
     storage). The heap grows geometrically and never shrinks while in
     use.
 
-    The representation is exposed for the engine specialization layer
-    (DESIGN.md §14), which inlines the O(1) reads ([is_empty], [min_at],
+    The representation is exposed for the production engine cycle
+    (DESIGN.md §8), which inlines the O(1) reads ([is_empty], [min_at],
     the root payload). The heap-ordered prefix lives in [0, size);
     [payload] keeps stale references in its unused suffix. Treat the
     type as private elsewhere; pushes and drops must go through the

@@ -49,36 +49,6 @@ let try_allocate t request ~now =
       in
       scan 0
 
-(* Staged-variant allocators: same bookkeeping, constants supplied by
-   the caller's frozen configuration (they must equal [t.config]'s —
-   the specialization layer's [matches] guarantees it). *)
-
-let[@inline] try_allocate_alu t ~count ~latency =
-  if t.alu_used < count then begin
-    t.alu_used <- t.alu_used + 1;
-    t.alu_allocations <- t.alu_allocations + 1;
-    latency
-  end
-  else no_unit
-
-let[@inline] try_allocate_mult t ~count ~latency =
-  if t.mult_used < count then begin
-    t.mult_used <- t.mult_used + 1;
-    latency
-  end
-  else no_unit
-
-let try_allocate_div t ~now ~latency =
-  let rec scan i =
-    if i >= Array.length t.div_busy_until then no_unit
-    else if t.div_busy_until.(i) <= now then begin
-      t.div_busy_until.(i) <- now + latency;
-      latency
-    end
-    else scan (i + 1)
-  in
-  scan 0
-
 let flush t = Array.fill t.div_busy_until 0 (Array.length t.div_busy_until) 0
 
 let alu_busy_fraction t ~cycles =

@@ -2,8 +2,8 @@
     width, issue width, queue occupancy). Values above the range are
     clamped into the last bin.
 
-    The representation is exposed for the engine specialization layer
-    (DESIGN.md §14), which inlines the per-cycle {!observe}. Treat the
+    The representation is exposed for the production engine cycle
+    (DESIGN.md §8), which inlines the per-cycle {!observe}. Treat the
     type as private elsewhere. *)
 
 type t = { counts : int array; mutable total : int }

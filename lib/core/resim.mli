@@ -38,8 +38,8 @@ val simulate_trace :
   Resim_trace.Record.t array ->
   outcome
 (** [instrument] runs on the freshly created engine before the first
-    cycle — the hook the observability sinks and the specialization
-    layer ([Resim_spec.Spec]) attach through. *)
+    cycle — the hook the observability sinks and probes attach
+    through. *)
 
 val simulate_program :
   ?config:Config.t ->

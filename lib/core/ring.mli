@@ -1,10 +1,9 @@
 (** Bounded circular buffers — the hardware queues (IFQ, decouple buffer,
     LSQ ordering) of the simulated processor.
 
-    The representation is exposed for the engine specialization layer
-    (DESIGN.md §14): the staged per-cycle code inlines the constant-time
-    operations, which a non-flambda build would otherwise leave as
-    out-of-line calls. Treat the type as private elsewhere — construct
+    The representation is exposed for the production engine cycle
+    (DESIGN.md §8), which inlines the constant-time operations that a
+    non-flambda build would otherwise leave as out-of-line calls. Treat the type as private elsewhere — construct
     with {!create} and mutate only through the operations below. *)
 
 type 'a t = {

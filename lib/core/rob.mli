@@ -1,8 +1,8 @@
 (** Reorder Buffer (the paper's RB): the in-order window of in-flight
     instructions, RUU-style. Head = oldest.
 
-    The representation is exposed for the engine specialization layer
-    (DESIGN.md §14), which inlines the per-cycle window walks.
+    The representation is exposed for the production engine cycle
+    (DESIGN.md §8), which inlines the per-cycle window walks.
     [sequence] is the id the next dispatched entry receives; ids in the
     window are consecutive, so the entry with id [i] sits
     [i - (sequence - length)] places from the ring head. Treat the type
@@ -38,11 +38,6 @@ val iter : (Entry.t -> unit) -> t -> unit
 (** Oldest to youngest. *)
 
 val find : (Entry.t -> bool) -> t -> Entry.t option
-
-val entry_by_id : t -> int -> Entry.t option
-(** O(1) lookup of an in-flight entry by id (ids in the window are
-    consecutive). [None] when the id has committed, was squashed, or has
-    not been dispatched yet. *)
 
 val squash_younger : t -> than_id:int -> int
 (** Remove every entry whose id is greater than [than_id]; returns how

@@ -8,8 +8,8 @@
     reclaims records once the engine's cursor has passed them, keeping
     memory bounded for arbitrarily long co-simulations.
 
-    The representation is exposed for the engine specialization layer
-    (DESIGN.md §14): the staged fetch loop inlines the [Whole] fast
+    The representation is exposed for the production engine cycle
+    (DESIGN.md §8): its fetch loop inlines the [Whole] fast
     path (a bounds check plus an array read) and falls back to the
     ordinary calls for [Windowed] sources. Treat the type as private
     elsewhere. *)

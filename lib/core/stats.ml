@@ -81,10 +81,10 @@ let create () =
 let incr t field = Stdlib.incr (field t)
 let add t field n = (field t) := !(field t) + n
 
-(* The staged engine variants (Engine.Staged, DESIGN.md §14) fetch the
-   underlying cells once at install time and bump them with raw ref
-   arithmetic — the accessor indirection above costs two calls per
-   bump, which the specialized per-cycle code cannot afford. *)
+(* The production engine cycle (DESIGN.md §8) fetches the underlying
+   cells once at engine creation and bumps them with raw ref
+   arithmetic: the accessor indirection above costs two calls per
+   bump, too much for code that runs every cycle. *)
 let live field t : int ref = field t
 
 let major_cycles t = t.major_cycles

@@ -20,8 +20,8 @@ val add : t -> (t -> counter) -> int -> unit
 
 val live : (t -> counter) -> t -> int ref
 (** The raw cell behind a counter, for code that bumps it on a per-cycle
-    budget: the staged engine variants (DESIGN.md §14) resolve every
-    counter they touch once at install time and then use plain ref
+    budget: the production engine cycle (DESIGN.md §8) resolves every
+    counter it touches once at engine creation and then uses plain ref
     arithmetic. The cell stays valid for the lifetime of [t]. *)
 
 val major_cycles : t -> counter

@@ -126,23 +126,9 @@ let pp ppf t =
     all;
   Format.fprintf ppf "%-20s %12s %12.4f %6.1f@]" "total" "" total 100.0
 
-let to_json ?specialized ?variant t =
+let to_json t =
   let buffer = Buffer.create 256 in
-  Buffer.add_string buffer "{";
-  (* The engine identity the sections were measured against, when the
-     caller knows it: generic vs staged runs have different phase-cost
-     shapes, so the document must say which one it profiles. *)
-  (match specialized with
-  | Some flag ->
-      Buffer.add_string buffer
-        (Printf.sprintf "\"specialized\":%b," flag);
-      Buffer.add_string buffer
-        (match variant with
-        | Some name ->
-            Printf.sprintf "\"variant\":%s," (Resim_core.Json.quote name)
-        | None -> "\"variant\":null,")
-  | None -> ());
-  Buffer.add_string buffer "\"sections\":[";
+  Buffer.add_string buffer "{\"sections\":[";
   List.iteri
     (fun i s ->
       if i > 0 then Buffer.add_char buffer ',';

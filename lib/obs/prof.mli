@@ -41,9 +41,5 @@ val sections : t -> section list
 
 val pp : Format.formatter -> t -> unit
 
-val to_json : ?specialized:bool -> ?variant:string -> t -> string
-(** The section table as a JSON object. When [specialized] is given
-    the document leads with [{"specialized": ..., "variant": ...}] —
-    which engine implementation (generic or a staged variant, see
-    DESIGN.md §14) the phase costs were measured against. [variant]
-    is only meaningful alongside [specialized]. *)
+val to_json : t -> string
+(** The section table as a JSON object. *)

@@ -1,58 +1,14 @@
-(** Engine specialization policy (DESIGN.md §14).
+(** Compatibility shim. The engine has a single production stepper
+    now, built from the runtime configuration by
+    {!Resim_core.Engine.create}; there is nothing left to select or
+    install. This module stays only because the benchmark helper
+    ([perfbench/perfbench.ml], linked by [perfbench/dune]) still calls
+    it. *)
 
-    {!Resim_core.Engine.Staged} is the mechanism — a functor that
-    compiles one monomorphic per-cycle engine per configuration grid
-    point. This module is the policy: a registry of pre-instantiated
-    variants covering the common grid (the reference machine at widths
-    2/4/8 across the three organizations and both schedulers), a
-    selector, and the [Auto]/[Always]/[Never] installation modes the
-    CLI surfaces as [--no-specialize].
+type mode = Auto
 
-    Staged variants are bit-identical to the generic engine by
-    contract — same cycles, same statistics, same pipetrace stream —
-    so installation is purely a host-speed decision. *)
+val install : ?mode:mode -> Resim_core.Engine.t -> bool
+(** Always [true]: every engine already runs the production stepper. *)
 
-open Resim_core
-
-(** A pre-instantiated staged variant (the result signature of
-    {!Engine.Staged}). *)
-module type VARIANT = sig
-  val name : string
-  val matches : Config.t -> bool
-  val install : Engine.t -> unit
-end
-
-type mode =
-  | Auto  (** specialize when a grid variant matches, else generic *)
-  | Always
-      (** specialize even off-grid, via a one-off runtime-built
-          variant (keeps the structural wins, not the constant
-          folding) *)
-  | Never  (** force the generic engine ([--no-specialize]) *)
-
-val mode_name : mode -> string
-
-val mode_of_string : string -> (mode, string) result
-
-val variants : (module VARIANT) list
-(** The built-in grid, most-common configuration first ({!select}
-    takes the first match). *)
-
-val variant_names : string list
-
-val select : Config.t -> (module VARIANT) option
-(** First registry variant whose frozen constants agree with the
-    configuration. *)
-
-val static_of_config : Config.t -> (module Engine.STATIC_CONFIG)
-(** Freeze a runtime configuration into a one-off static module (the
-    [Always] fallback). *)
-
-val install : ?mode:mode -> Engine.t -> bool
-(** Apply the policy to a freshly created engine; returns whether a
-    staged variant is now installed. [Never] (and an [Auto] miss)
-    reverts to the generic stepper. *)
-
-val instrument : mode -> Engine.t -> unit
-(** {!install} shaped for {!Resim_core.Resim.simulate_robust}'s
-    [instrument] hook. *)
+val instrument : mode -> Resim_core.Engine.t -> unit
+(** A no-op [instrument] hook. *)

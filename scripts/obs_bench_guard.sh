@@ -100,46 +100,3 @@ if failed:
     sys.exit(1)
 print("obs-guard: sampled gate clean")
 EOF
-
-# --- specialized-engine gate -----------------------------------------
-# The bench document's specialized section (DESIGN.md §14) times the
-# staged variants against the generic engine on the same traces. The
-# gate is on the geometric mean of the event-scheduler speedups: the
-# per-kernel ratios swing with host load, but the aggregate must stay
-# comfortably above 1x (default floor 1.2x, SPEC_GUARD_FLOOR
-# overrides) — a staged variant that stops paying for itself is a
-# regression in the whole subsystem's reason to exist.
-SPEC_FLOOR="${SPEC_GUARD_FLOOR:-1.2}"
-python3 - "$TMP/bench.json" "$SPEC_FLOOR" <<'EOF'
-import json, math, sys
-
-specialized = json.load(open(sys.argv[1])).get("specialized")
-floor = float(sys.argv[2])
-if not specialized:
-    print("obs-guard: skipped specialized gate (no specialized section)")
-    sys.exit(0)
-
-ratios = []
-for point in specialized.get("points", []):
-    ratio = point.get("speedup_vs_generic")
-    flag = ""
-    if ratio is not None and point["scheduler"] == "event":
-        ratios.append(ratio)
-        if ratio <= 1.0:
-            flag = "  [SLOWER THAN GENERIC]"
-    print(f"specialized {point['kernel']:8s} {point['scheduler']:6s} "
-          f"{point['variant']:36s} {point['host_mips']:7.4f} MIPS  "
-          f"{'-' if ratio is None else f'{ratio:5.2f}x'}{flag}")
-
-if not ratios:
-    print("obs-guard: skipped specialized gate (no event-scheduler points)")
-    sys.exit(0)
-
-geomean = math.exp(sum(math.log(r) for r in ratios) / len(ratios))
-print(f"specialized geomean over {len(ratios)} event point(s): "
-      f"{geomean:.2f}x (floor {floor:.2f}x)")
-if geomean < floor:
-    print("obs-guard: FAILED — specialized engine speedup below floor")
-    sys.exit(1)
-print("obs-guard: specialized gate clean")
-EOF

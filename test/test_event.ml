@@ -1,8 +1,8 @@
 (* Tests for the event-driven scheduler: Event_queue ordering and
    stability, and the differential guarantee that the Event scheduler is
-   cycle- and stats-identical to the Scan reference oracle on every
-   workload kernel and on random synthetic traces across organizations,
-   widths and memory systems. *)
+   cycle- and stats-identical to the Scan scheduler on every workload
+   kernel and on random synthetic traces across organizations, widths
+   and memory systems (test_spec.ml holds both to the Scan oracle). *)
 
 open Resim_core
 module Record = Resim_trace.Record

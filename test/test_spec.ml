@@ -1,15 +1,16 @@
-(* Tests for the engine-specialization layer (DESIGN.md §14): staged
-   variants must be bit-identical to the generic engine — same cycles,
-   same full statistics dump, same observer event stream — on the
-   kernel grid, on random synthetic traces, and through checkpoint
-   resume; plus the Auto/Always/Never selection policy itself. *)
+(* Differential tests for the production engine (DESIGN.md §8): the
+   staged Scan/Event cycle behind [Engine.step] must be bit-identical to
+   the Scan oracle ([Engine.reference_step]) — same cycles, same full
+   statistics dump, same observer event stream — on the kernel grid,
+   on random configurations and traces, and through checkpoint
+   resume. *)
 
 open Resim_core
-module Spec = Resim_spec.Spec
+module Cache = Resim_cache.Cache
+module Predictor = Resim_bpred.Predictor
 module Synthetic = Resim_tracegen.Synthetic
 
 let check = Alcotest.check
-let bool = Alcotest.bool
 let string = Alcotest.string
 
 let stats_dump stats = Format.asprintf "%a" Stats.pp stats
@@ -34,33 +35,42 @@ let attach_signature engine buffer =
             "s" ^ Engine.stall_reason_name reason);
       Buffer.add_char buffer ';')
 
-type run = { stats : Stats.t; events : string; variant : string option }
+type run = { cycles : int64; dump : string; events : string }
 
-let run_engine ~mode ~observe config records =
+(* The oracle has no watchdog of its own; a run this long on a test
+   trace is a hang. *)
+let oracle_cycle_limit = 10_000_000L
+
+let run_engine ~oracle config records =
   let engine = Engine.create ~config records in
   let buffer = Buffer.create 4096 in
-  if observe then attach_signature engine buffer;
-  ignore (Spec.install ~mode engine : bool);
-  let stats = Engine.run engine in
-  { stats;
-    events = Buffer.contents buffer;
-    variant = Engine.variant engine }
+  attach_signature engine buffer;
+  if oracle then
+    while not (Engine.finished engine) do
+      if Int64.compare (Engine.cycle engine) oracle_cycle_limit >= 0 then
+        Alcotest.fail "Scan oracle made no progress";
+      Engine.reference_step engine
+    done
+  else ignore (Engine.run engine : Stats.t);
+  { cycles = Engine.cycle engine;
+    dump = stats_dump (Engine.stats engine);
+    events = Buffer.contents buffer }
 
-let assert_staged_identical ~name config records =
-  (* Generic vs staged, same scheduler, with the observer attached:
-     cycles, full stats and the event stream must match exactly. *)
-  let generic = run_engine ~mode:Spec.Never ~observe:true config records in
-  let staged = run_engine ~mode:Spec.Auto ~observe:true config records in
-  check bool (name ^ ": a variant installed") true (staged.variant <> None);
-  check string
-    (name ^ ": full stats dump")
-    (stats_dump generic.stats) (stats_dump staged.stats);
-  check string (name ^ ": event stream") generic.events staged.events
+let same a b =
+  Int64.equal a.cycles b.cycles
+  && String.equal a.dump b.dump
+  && String.equal a.events b.events
+
+let assert_matches_oracle ~name ~oracle config records =
+  let production = run_engine ~oracle:false config records in
+  check Alcotest.int64 (name ^ ": cycles") oracle.cycles production.cycles;
+  check string (name ^ ": full stats dump") oracle.dump production.dump;
+  check string (name ^ ": event stream") oracle.events production.events
 
 (* ------------------------------------------------------------------- *)
-(* Three-way kernel differential: five kernels x the three
-   organizations x both schedulers, each point proving Scan-generic,
-   Event-generic and the staged variant agree on everything. *)
+(* Kernel differential: five kernels x the three organizations x both
+   schedulers. The oracle ignores [scheduler], so one oracle run per
+   (kernel, organization) anchors both production schedulers. *)
 
 let kernel_records =
   lazy
@@ -71,9 +81,7 @@ let kernel_records =
          (name, Resim_tracegen.Generator.records program))
        Resim_workloads.Workload.all)
 
-let organizations =
-  [ Config.Simple; Config.Improved; Config.Optimized ]
-
+let organizations = [ Config.Simple; Config.Improved; Config.Optimized ]
 let schedulers = [ Config.Scan; Config.Event ]
 
 let test_kernel_differential () =
@@ -81,194 +89,164 @@ let test_kernel_differential () =
     (fun (kernel, records) ->
       List.iter
         (fun organization ->
-          (* Reference window at width 4: on the registry grid for
-             every organization. *)
-          let base =
-            { Config.reference with Config.organization }
-          in
-          let dumps =
-            List.map
-              (fun scheduler ->
-                let config = { base with Config.scheduler } in
-                let name =
-                  Printf.sprintf "%s/%s/%s" kernel
-                    (Config.organization_name organization)
-                    (Config.scheduler_name scheduler)
-                in
-                assert_staged_identical ~name config records;
-                let staged =
-                  run_engine ~mode:Spec.Auto ~observe:false config records
-                in
-                stats_dump staged.stats)
-              schedulers
-          in
-          (* And the third leg: the two schedulers (staged) agree with
-             each other, so all three engines pin the same timing. *)
-          match dumps with
-          | [ scan; event ] ->
-              check string
-                (Printf.sprintf "%s/%s: scan vs event (staged)" kernel
-                   (Config.organization_name organization))
-                scan event
-          | _ -> assert false)
+          let base = { Config.reference with Config.organization } in
+          let oracle = run_engine ~oracle:true base records in
+          List.iter
+            (fun scheduler ->
+              let name =
+                Printf.sprintf "%s/%s/%s" kernel
+                  (Config.organization_name organization)
+                  (Config.scheduler_name scheduler)
+              in
+              assert_matches_oracle ~name ~oracle
+                { base with Config.scheduler }
+                records)
+            schedulers)
         organizations)
     (Lazy.force kernel_records)
 
 (* ------------------------------------------------------------------- *)
-(* Selection policy.                                                    *)
+(* Checkpoint resume: a budget-truncated production run must hand back
+   a checkpoint whose resumed statistics equal the oracle's
+   uninterrupted run. *)
 
-let exotic_config =
-  (* Off every grid point: a ROB size the registry does not carry. *)
-  { Config.reference with Config.rob_entries = 24 }
-
-let test_auto_selection () =
-  (match Spec.select Config.reference with
-  | Some (module V : Spec.VARIANT) ->
-      check bool "reference variant matches" true
-        (V.matches Config.reference);
-      check bool "reference maps to the optimized-event-w4 point" true
-        (V.name = "optimized-event-w4-rob16-lsq8-rp2wp1")
-  | None -> Alcotest.fail "reference configuration must be on the grid");
-  check bool "exotic config is off the grid" true
-    (match Spec.select exotic_config with None -> true | Some _ -> false);
-  (* Every registry variant matches the configuration it was frozen
-     from — or at least claims a distinct name. *)
-  check bool "registry names are distinct" true
-    (let names = List.sort_uniq compare Spec.variant_names in
-     List.length names = List.length Spec.variant_names)
-
-let test_install_modes () =
-  let records = snd (List.hd (Lazy.force kernel_records)) in
-  let engine = Engine.create ~config:Config.reference records in
-  check bool "Never leaves the generic engine" false
-    (Spec.install ~mode:Spec.Never engine);
-  check bool "not specialized after Never" false
-    (Engine.is_specialized engine);
-  check bool "Auto installs on the grid" true
-    (Spec.install ~mode:Spec.Auto engine);
-  check bool "specialized after Auto" true (Engine.is_specialized engine);
-  check bool "variant is reported" true (Engine.variant engine <> None);
-  (* Auto off-grid: fall back to generic, not an error. *)
-  let exotic = Engine.create ~config:exotic_config records in
-  check bool "Auto misses off the grid" false
-    (Spec.install ~mode:Spec.Auto exotic);
-  check bool "off-grid Auto stays generic" false
-    (Engine.is_specialized exotic)
-
-let test_always_fallback_is_identical () =
-  (* Always on an exotic configuration builds a one-off variant at run
-     time; it must remain bit-identical to the generic engine. *)
+let test_checkpoint_resume () =
   let records = snd (List.hd (Lazy.force kernel_records)) in
   List.iter
-    (fun scheduler ->
-      let config = { exotic_config with Config.scheduler } in
-      let generic =
-        run_engine ~mode:Spec.Never ~observe:true config records
-      in
-      let engine = Engine.create ~config records in
-      let buffer = Buffer.create 4096 in
-      attach_signature engine buffer;
-      check bool "Always installs off-grid" true
-        (Spec.install ~mode:Spec.Always engine);
-      let stats = Engine.run engine in
-      check string
-        (Config.scheduler_name scheduler ^ ": fallback stats")
-        (stats_dump generic.stats) (stats_dump stats);
-      check string
-        (Config.scheduler_name scheduler ^ ": fallback event stream")
-        generic.events (Buffer.contents buffer))
-    schedulers
+    (fun config ->
+      let name = Config.scheduler_name config.Config.scheduler in
+      match Resim.simulate_robust ~config ~max_cycles:1000L records with
+      | Error _ -> Alcotest.fail (name ^ ": bounded run failed")
+      | Ok robust -> (
+          match robust.Resim.resume with
+          | None -> Alcotest.fail (name ^ ": expected a resume checkpoint")
+          | Some checkpoint -> (
+              match Resim.resume_trace ~config ~checkpoint records with
+              | Error message -> Alcotest.fail message
+              | Ok outcome ->
+                  let oracle = run_engine ~oracle:true config records in
+                  check string
+                    (name ^ ": resumed run matches the oracle")
+                    oracle.dump
+                    (stats_dump outcome.Resim.stats))))
+    [ Config.reference;
+      { Config.fast_comparable with Config.scheduler = Config.Scan } ]
 
 (* ------------------------------------------------------------------- *)
-(* Checkpoint resume: a budget-truncated specialized run must hand the
-   generic replay a checkpoint it accepts, and the resumed statistics
-   must equal an uninterrupted run's. *)
+(* Random-configuration differential: any configuration that passes
+   [Config.validate] — widths 1-8, window sizes, functional units,
+   ports and penalties, every organization and scheduler, perfect or
+   set-associative L1s with and without an L2, default or perfect
+   predictor — on a random synthetic trace. *)
 
-let test_checkpoint_resume_under_specialization () =
-  let records = snd (List.hd (Lazy.force kernel_records)) in
-  let config = Config.reference in
-  match
-    Resim.simulate_robust ~config ~max_cycles:1000L
-      ~instrument:(Spec.instrument Spec.Auto) records
-  with
-  | Error _ -> Alcotest.fail "bounded specialized run failed"
-  | Ok robust -> (
-      match robust.Resim.resume with
-      | None -> Alcotest.fail "expected a resume checkpoint"
-      | Some checkpoint -> (
-          match Resim.resume_trace ~config ~checkpoint records with
-          | Error message -> Alcotest.fail message
-          | Ok outcome ->
-              let full = Engine.simulate ~config records in
-              check string "resumed run matches uninterrupted"
-                (stats_dump full) (stats_dump outcome.Resim.stats)))
+let l2_256k_8way =
+  Cache.Set_associative
+    { size_bytes = 256 * 1024; associativity = 8; block_bytes = 64 }
 
-(* ------------------------------------------------------------------- *)
-(* Random-trace differential across the registry grid.                  *)
-
-let grid_configs =
-  (* One configuration per registry width, every organization where the
-     port constraint allows it, cycled through both schedulers by the
-     property itself. *)
-  let point ~width ~alu ~rp ~wp organization =
-    { Config.reference with
-      Config.organization;
-      width;
-      ifq_entries = width;
-      decouple_entries = width;
-      alu_count = alu;
-      mem_read_ports = rp;
-      mem_write_ports = wp }
+let config_gen =
+  let open QCheck.Gen in
+  let cache = oneofl [ Cache.Perfect; Cache.l1_32k_2way_64b; Cache.l1_32k_8way_64b ] in
+  let* organization = oneofl organizations in
+  let* scheduler = oneofl schedulers in
+  (* Optimized supports at most N-1 memory ports, so it needs N >= 3. *)
+  let optimized = Config.is_optimized organization in
+  let* width = if optimized then int_range 3 8 else int_range 1 8 in
+  let* mem_read_ports =
+    if optimized then int_range 1 (width - 2) else int_range 1 4
   in
-  [| point ~width:2 ~alu:2 ~rp:1 ~wp:1 Config.Simple;
-     point ~width:2 ~alu:2 ~rp:1 ~wp:1 Config.Improved;
-     point ~width:4 ~alu:4 ~rp:2 ~wp:1 Config.Simple;
-     point ~width:4 ~alu:4 ~rp:2 ~wp:1 Config.Improved;
-     point ~width:4 ~alu:4 ~rp:2 ~wp:1 Config.Optimized;
-     point ~width:8 ~alu:8 ~rp:4 ~wp:2 Config.Simple;
-     point ~width:8 ~alu:8 ~rp:4 ~wp:2 Config.Improved;
-     point ~width:8 ~alu:8 ~rp:4 ~wp:2 Config.Optimized |]
+  let* mem_write_ports =
+    if optimized then int_range 1 (width - 1 - mem_read_ports)
+    else int_range 1 2
+  in
+  let* ifq_extra = int_range 0 4 in
+  let* decouple_entries = int_range 1 8 in
+  let* rob_entries = int_range width 48 in
+  let* lsq_entries = int_range 1 16 in
+  let* alu_count = int_range 1 8 in
+  let* alu_latency = int_range 1 3 in
+  let* mult_count = int_range 1 2 in
+  let* mult_latency = int_range 1 6 in
+  let* div_count = int_range 1 2 in
+  let* div_latency = int_range 1 20 in
+  let* misfetch_penalty = int_range 0 5 in
+  let* misspeculation_penalty = int_range 0 5 in
+  let* predictor =
+    oneofl [ Predictor.default_config; Predictor.perfect_config ]
+  in
+  let* icache = cache in
+  let* dcache = cache in
+  let+ l2cache = oneofl [ None; Some l2_256k_8way ] in
+  { Config.reference with
+    Config.width;
+    ifq_entries = width + ifq_extra;
+    decouple_entries;
+    rob_entries;
+    lsq_entries;
+    alu_count;
+    alu_latency;
+    mult_count;
+    mult_latency;
+    div_count;
+    div_latency;
+    mem_read_ports;
+    mem_write_ports;
+    misfetch_penalty;
+    misspeculation_penalty;
+    organization;
+    scheduler;
+    predictor;
+    icache;
+    dcache;
+    l2cache }
 
-let staged_matches_generic =
+let describe config =
+  Format.asprintf "%a, predictor %s, icache %s, dcache %s, l2 %s" Config.pp
+    config
+    (if config.Config.predictor == Predictor.perfect_config then "perfect"
+     else "default")
+    (match config.Config.icache with
+    | Cache.Perfect -> "perfect"
+    | Cache.Set_associative g -> Printf.sprintf "%d-way" g.associativity)
+    (match config.Config.dcache with
+    | Cache.Perfect -> "perfect"
+    | Cache.Set_associative g -> Printf.sprintf "%d-way" g.associativity)
+    (match config.Config.l2cache with None -> "none" | Some _ -> "256K")
+
+let trace_gen =
+  let open QCheck.Gen in
+  let* seed = int_bound 100_000 in
+  let* instructions = int_range 150 400 in
+  let+ working_set_bytes = oneofl [ 4096; 65536; 1 lsl 20 ] in
+  (seed, instructions, working_set_bytes)
+
+let staged_matches_oracle =
   QCheck.Test.make
-    ~name:"staged variants are bit-identical on random traces" ~count:80
-    QCheck.(
-      pair (int_bound 100_000)
-        (pair (int_bound (Array.length grid_configs - 1))
-           (pair (int_range 150 400) bool)))
-    (fun (seed, (config_index, (instructions, use_event))) ->
-      let config =
-        { grid_configs.(config_index) with
-          Config.scheduler =
-            (if use_event then Config.Event else Config.Scan) }
-      in
+    ~name:"staged cycle matches the Scan oracle on random configs"
+    ~count:100
+    (QCheck.make
+       ~print:(fun (config, (seed, instructions, working_set_bytes)) ->
+         Printf.sprintf "%s\ntrace seed %d, %d instructions, %d B working set"
+           (describe config) seed instructions working_set_bytes)
+       (QCheck.Gen.pair config_gen trace_gen))
+    (fun (config, (seed, instructions, working_set_bytes)) ->
       let profile =
         { (Synthetic.balanced ~name:"spec-diff" ~instructions) with
           Synthetic.dependency_density = 0.5;
-          mispredict_rate = 0.08 }
+          mispredict_rate = 0.08;
+          working_set_bytes }
       in
       let records = Synthetic.generate ~seed profile in
-      let generic =
-        run_engine ~mode:Spec.Never ~observe:true config records
-      in
-      let staged =
-        run_engine ~mode:Spec.Auto ~observe:true config records
-      in
-      staged.variant <> None
-      && String.equal (stats_dump generic.stats) (stats_dump staged.stats)
-      && String.equal generic.events staged.events)
+      Result.is_ok (Config.validate config)
+      && same
+           (run_engine ~oracle:true config records)
+           (run_engine ~oracle:false config records))
 
 (* ------------------------------------------------------------------- *)
 
 let suite =
-  [ ("spec:policy",
-     [ Alcotest.test_case "auto selection" `Quick test_auto_selection;
-       Alcotest.test_case "install modes" `Quick test_install_modes;
-       Alcotest.test_case "Always fallback is identical" `Quick
-         test_always_fallback_is_identical;
-       Alcotest.test_case "checkpoint resume under specialization" `Quick
-         test_checkpoint_resume_under_specialization ]);
-    ("spec:differential",
+  [ ("spec:differential",
      [ Alcotest.test_case "kernels x organizations x schedulers" `Slow
          test_kernel_differential;
-       QCheck_alcotest.to_alcotest staged_matches_generic ]) ]
+       Alcotest.test_case "checkpoint resume matches the oracle" `Quick
+         test_checkpoint_resume;
+       QCheck_alcotest.to_alcotest staged_matches_oracle ]) ]
