@@ -354,15 +354,6 @@ let adapter_format_arg =
               own branch predictor; malformed lines are RSM-A \
               diagnostics with file:line:col (DESIGN.md §17).")
 
-(* How the trace reaches the engine: a constant-memory pull stream
-   (every encoded trace, and foreign traces under --stream) or a
-   materialized array (generated kernels, foreign traces adapted up
-   front, and --sample/--resume/--degraded, which need random access,
-   replay or salvage). *)
-type trace_input =
-  | Materialized of Resim_trace.Record.t array
-  | Pulled of (unit -> Resim_trace.Record.t option) * (unit -> unit)
-
 (* An encoded trace as a pull stream: stdin through a chunked cursor,
    anything else through [Stream.open_path] (single file or shard set).
    Header and I/O problems exit here — host I/O as a usage error (exit
@@ -396,15 +387,13 @@ let resync_hint ~path (fault : Resim_trace.Fault.t) =
         "(rerun with --degraded resync to skip damaged records)@."
   | _ -> ()
 
-(* An encoded trace drained into an array, for the runs that need
-   random access or replay (--sample, --resume, profile). *)
-let read_encoded path =
-  match Stream.to_array (open_encoded path) with
-  | records -> records
-  | exception Resim_trace.Fault.Trace_fault fault ->
-      Format.eprintf "%s@." (Resim_trace.Fault.to_string fault);
-      resync_hint ~path fault;
-      exit fault_exit
+(* An encoded trace (file, shard set or stdin) as a source streaming
+   through the chunked cursor — O(chunk) memory however large — and the
+   cleanup that closes it. *)
+let encoded_source path =
+  let s = open_encoded path in
+  ( Resim_core.Source.of_pull (fun () -> Stream.next s),
+    fun () -> Stream.close s )
 
 let report_adapter_stats ~file adapter =
   let stats = Adapter.stats adapter in
@@ -447,12 +436,6 @@ let simulate workload scale source_file trace_file trace_format stream
       "--stream/--format require a trace source (--trace FILE or -)@.";
     exit 2
   end;
-  if stream && (sample_spec <> None || resume_file <> None) then begin
-    Format.eprintf
-      "--sample/--resume do not combine with --stream (they need the \
-       materialized trace)@.";
-    exit 2
-  end;
   if degraded_resync && (stream || trace_format <> None || trace_file = None)
   then begin
     Format.eprintf
@@ -460,11 +443,12 @@ let simulate workload scale source_file trace_file trace_format stream
        --stream, no --format)@.";
     exit 2
   end;
-  let input, salvage_faults =
+  let source, cleanup, salvage_faults =
     match trace_file with
     | None ->
         let program = program_of ?source_file workload scale in
-        (Materialized (Resim_tracegen.Generator.records program), [])
+        let records = Resim_tracegen.Generator.records program in
+        (Resim_core.Source.of_array records, ignore, [])
     | Some path -> (
         match trace_format with
         | Some format ->
@@ -484,11 +468,10 @@ let simulate workload scale source_file trace_file trace_format stream
             in
             let adapter = Adapter.of_channel ~format ~file ic in
             if stream then
-              ( Pulled
-                  ( Adapter.pull_exn adapter,
-                    fun () ->
-                      report_adapter_stats ~file adapter;
-                      if owned then close_in_noerr ic ),
+              ( Resim_core.Source.of_pull (Adapter.pull_exn adapter),
+                (fun () ->
+                  report_adapter_stats ~file adapter;
+                  if owned then close_in_noerr ic),
                 [] )
             else begin
               match Adapter.to_records_result adapter with
@@ -498,7 +481,7 @@ let simulate workload scale source_file trace_file trace_format stream
               | Ok records ->
                   report_adapter_stats ~file adapter;
                   if owned then close_in_noerr ic;
-                  (Materialized records, [])
+                  (Resim_core.Source.of_array records, ignore, [])
             end
         | None when degraded_resync -> (
             match
@@ -512,19 +495,11 @@ let simulate workload scale source_file trace_file trace_format stream
                 Format.eprintf "%s: %s@." path
                   (Resim_trace.Codec.error_to_string error);
                 exit fault_exit
-            | Ok (records, _format, faults) -> (Materialized records, faults))
-        | None when sample_spec <> None || resume_file <> None ->
-            (Materialized (read_encoded path), [])
+            | Ok (records, _format, faults) ->
+                (Resim_core.Source.of_array records, ignore, faults))
         | None ->
-            (* Encoded trace (file, shard set or stdin) through the
-               chunked cursor: O(chunk) memory however large. *)
-            let s = open_encoded path in
-            (Pulled ((fun () -> Stream.next s), fun () -> Stream.close s), []))
-  in
-  let records =
-    (* --sample and --resume always materialize above; [Pulled] only
-       reaches the plain robust runner. *)
-    match input with Materialized records -> records | Pulled _ -> [||]
+            let source, close = encoded_source path in
+            (source, close, []))
   in
   let config =
     let base = Resim_core.Config.reference in
@@ -615,119 +590,105 @@ let simulate workload scale source_file trace_file trace_format stream
       Resim_fpga.Device.all;
     write_metrics ?report outcome.Resim_core.Resim.stats
   in
-  match resume_file with
-  | Some path -> (
-      match Resim_core.Checkpoint.load path with
-      | Error message ->
-          Format.eprintf "--resume %s: %s@." path
-            (Resim_core.Checkpoint.error_to_string message);
-          exit 2
-      | Ok checkpoint -> (
-          match
-            Resim_core.Resim.resume_trace ~config ~checkpoint records
-          with
-          | Error message ->
-              Format.eprintf "resume failed: %s@." message;
-              exit fault_exit
-          | Ok outcome ->
-              Format.printf "resumed from cycle %Ld (cursor %d)@."
-                checkpoint.Resim_core.Checkpoint.cycle
-                checkpoint.Resim_core.Checkpoint.cursor;
-              finish outcome))
-  | None -> (
-      let deadline =
-        Option.map
-          (fun seconds ->
-            let limit = Unix.gettimeofday () +. seconds in
-            fun () -> Unix.gettimeofday () > limit)
-          timeout
-      in
-      (* With no sinks the engine keeps its observer-free hot path. *)
-      let instrument =
-        if sinks = [] then None
-        else Some (fun engine -> Resim_obs.Obs.attach engine sinks)
-      in
-      let fail failure =
-        (* Flush the partial pipetrace — the events up to the fault
-           are exactly what a post-mortem wants. *)
-        close_sinks ();
-        Format.eprintf "simulate: %s@."
-          (Resim_core.Resim.failure_to_string failure);
-        (match (failure, trace_file, trace_format) with
-        | Resim_core.Resim.Fault fault, Some path, None ->
-            resync_hint ~path fault
-        | _ -> ());
-        exit fault_exit
-      in
-      let conclude ?report robust =
-        close_sinks ();
-        (match robust.Resim_core.Resim.stop with
-        | Resim_core.Engine.Drained -> ()
-        | Resim_core.Engine.Cycle_budget ->
-            Format.printf
-              "run truncated by --max-cycles; statistics are partial@."
-        | Resim_core.Engine.Time_budget ->
-            Format.printf
-              "run truncated by --timeout; statistics are partial@."
-        | Resim_core.Engine.Commit_target ->
-            Format.printf
-              "run truncated at commit target; statistics are partial@.");
-        (match (robust.Resim_core.Resim.resume, checkpoint_out) with
-        | Some checkpoint, Some path ->
-            Resim_core.Checkpoint.save path checkpoint;
-            Format.printf "wrote checkpoint %s (resume with --resume)@."
-              path
-        | Some _, None | None, None -> ()
-        | None, Some _ ->
-            Format.printf
-              "run completed; no checkpoint needed or written@.");
-        (match report with
-        | None -> ()
-        | Some report ->
-            let open Resim_sample.Sample in
-            if Float.is_finite report.ci95 then
-              Format.printf
-                "sampled (%s): %d intervals, IPC %.4f +- %.4f (95%% CI), \
-                 %d detailed / %d warmed instructions@."
-                (spec_to_string report.spec)
-                (List.length report.intervals)
-                report.mean_ipc report.ci95 report.detailed_instructions
-                report.warmed_instructions
-            else
-              Format.printf
-                "sampled (%s): %d interval(s), IPC %.4f (CI undefined \
-                 below two intervals), %d detailed / %d warmed \
-                 instructions@."
-                (spec_to_string report.spec)
-                (List.length report.intervals)
-                report.mean_ipc report.detailed_instructions
-                report.warmed_instructions);
-        finish ?report robust.Resim_core.Resim.outcome
-      in
-      let unsampled = Result.map (fun robust -> (robust, None)) in
-      let result =
-        match (sample_spec, input) with
-        | Some spec, _ ->
+  let resume =
+    Option.map
+      (fun path ->
+        match Resim_core.Checkpoint.load path with
+        | Ok checkpoint -> checkpoint
+        | Error message ->
+            Format.eprintf "--resume %s: %s@." path
+              (Resim_core.Checkpoint.error_to_string message);
+            exit 2)
+      resume_file
+  in
+  let deadline =
+    Option.map
+      (fun seconds ->
+        let limit = Unix.gettimeofday () +. seconds in
+        fun () -> Unix.gettimeofday () > limit)
+      timeout
+  in
+  (* With no sinks the engine keeps its observer-free hot path. *)
+  let instrument =
+    if sinks = [] then None
+    else Some (fun engine -> Resim_obs.Obs.attach engine sinks)
+  in
+  let fail failure =
+    (* Flush the partial pipetrace — the events up to the fault are
+       exactly what a post-mortem wants. *)
+    close_sinks ();
+    Format.eprintf "simulate: %s@."
+      (Resim_core.Resim.failure_to_string failure);
+    (match (failure, trace_file, trace_format) with
+    | Resim_core.Resim.Fault fault, Some path, None -> resync_hint ~path fault
+    | _ -> ());
+    exit fault_exit
+  in
+  let conclude ?report robust =
+    close_sinks ();
+    Option.iter
+      (fun (checkpoint : Resim_core.Checkpoint.t) ->
+        Format.printf "resumed from cycle %Ld (cursor %d)@." checkpoint.cycle
+          checkpoint.cursor)
+      resume;
+    (match robust.Resim_core.Resim.stop with
+    | Resim_core.Engine.Drained -> ()
+    | Resim_core.Engine.Cycle_budget ->
+        Format.printf "run truncated by --max-cycles; statistics are partial@."
+    | Resim_core.Engine.Time_budget ->
+        Format.printf "run truncated by --timeout; statistics are partial@."
+    | Resim_core.Engine.Commit_target ->
+        Format.printf
+          "run truncated at commit target; statistics are partial@.");
+    (match (robust.Resim_core.Resim.resume, checkpoint_out) with
+    | Some checkpoint, Some path ->
+        Resim_core.Checkpoint.save path checkpoint;
+        Format.printf "wrote checkpoint %s (resume with --resume)@." path
+    | Some _, None | None, None -> ()
+    | None, Some _ ->
+        Format.printf "run completed; no checkpoint needed or written@.");
+    (match report with
+    | None -> ()
+    | Some report ->
+        let open Resim_sample.Sample in
+        if Float.is_finite report.ci95 then
+          Format.printf
+            "sampled (%s): %d intervals, IPC %.4f +- %.4f (95%% CI), \
+             %d detailed / %d warmed instructions@."
+            (spec_to_string report.spec)
+            (List.length report.intervals)
+            report.mean_ipc report.ci95 report.detailed_instructions
+            report.warmed_instructions
+        else
+          Format.printf
+            "sampled (%s): %d interval(s), IPC %.4f (CI undefined \
+             below two intervals), %d detailed / %d warmed \
+             instructions@."
+            (spec_to_string report.spec)
+            (List.length report.intervals)
+            report.mean_ipc report.detailed_instructions
+            report.warmed_instructions);
+    finish ?report robust.Resim_core.Resim.outcome
+  in
+  (* One run over the source, whatever it is; the cleanup closes owned
+     channels (and, for adapters, prints the adaptation stats). *)
+  let result =
+    Fun.protect ~finally:cleanup (fun () ->
+        match sample_spec with
+        | Some spec ->
             Result.map
               (fun (robust, report) -> (robust, Some report))
               (Resim_sample.Sample.run ~config ?deadline ?max_cycles
-                 ?instrument ~spec records)
-        | None, Materialized records ->
-            unsampled
-              (Resim_core.Resim.simulate_robust ~config ?max_cycles
-                 ?deadline ?instrument records)
-        | None, Pulled (pull, cleanup) ->
-            (* Constant-memory path: the engine draws records on demand;
-               the cleanup closes owned channels (and, for adapters,
-               prints the adaptation stats). *)
-            unsampled
-              (Fun.protect ~finally:cleanup (fun () ->
-                   Resim_core.Resim.simulate_pull_robust ~config
-                     ?max_cycles ?deadline ?instrument pull))
-      in
-      match result with
-      | Error failure -> fail failure
-      | Ok (robust, report) -> conclude ?report robust)
+                 ?instrument ~spec source)
+        | None ->
+            Result.map
+              (fun robust -> (robust, None))
+              (Resim_core.Resim.run ~config ?max_cycles ?deadline ?instrument
+                 ?resume source))
+  in
+  match result with
+  | Error failure -> fail failure
+  | Ok (robust, report) -> conclude ?report robust
 
 let simulate_cmd =
   let trace_file =
@@ -752,8 +713,7 @@ let simulate_cmd =
                 selects the streaming adapter instead of adapting the \
                 whole trace up front. Statistics and \
                 $(b,bits/instruction) are identical either way. Not \
-                combinable with \
-                $(b,--sample)/$(b,--resume)/$(b,--degraded).")
+                combinable with $(b,--degraded).")
   in
   let perfect_bp =
     Arg.(value & flag & info [ "perfect-bp" ] ~doc:"Oracle predictor.")
@@ -769,8 +729,10 @@ let simulate_cmd =
       value
       & opt (some int64) None
       & info [ "max-cycles" ] ~docv:"N"
-          ~doc:"Stop after $(docv) major cycles with partial statistics \
-                and a replay checkpoint (see --checkpoint/--resume).")
+          ~doc:"Stop once the run reaches major cycle $(docv) with \
+                partial statistics and a replay checkpoint (see \
+                --checkpoint/--resume). The count is absolute: a resumed \
+                run counts the replayed cycles too.")
   in
   let timeout =
     Arg.(
@@ -795,7 +757,9 @@ let simulate_cmd =
       & info [ "resume" ] ~docv:"FILE"
           ~doc:"Resume a truncated run from a checkpoint written by \
                 --checkpoint; final statistics are bit-identical to an \
-                unbounded run.")
+                unbounded run. --max-cycles, --timeout and --checkpoint \
+                apply after the replay, so a resumed run can truncate \
+                and checkpoint again.")
   in
   let degraded =
     Arg.(
@@ -955,30 +919,35 @@ let ptrace_cmd =
 (* --- profile ---------------------------------------------------------- *)
 
 let profile workload scale source_file trace_file json =
-  let records =
+  let source, cleanup =
     match trace_file with
-    | Some path -> read_encoded path
+    | Some path -> encoded_source path
     | None ->
         let program = program_of ?source_file workload scale in
-        Resim_tracegen.Generator.records program
+        let records = Resim_tracegen.Generator.records program in
+        (Resim_core.Source.of_array records, ignore)
   in
   let config = Resim_core.Config.reference in
   ensure_valid_config ~context:"profile" config;
   let prof = Resim_obs.Prof.create () in
   (* The phase-probe closer charges the span still open when the run
-     ends; simulate_robust owns the engine, so capture it here. *)
+     ends; Resim.run owns the engine, so capture it here. *)
   let closer = ref (fun () -> ()) in
   let result =
-    Resim_core.Resim.simulate_robust ~config
-      ~instrument:(fun engine ->
-        closer := Resim_obs.Prof.instrument_engine prof engine)
-      records
+    Fun.protect ~finally:cleanup (fun () ->
+        Resim_core.Resim.run ~config
+          ~instrument:(fun engine ->
+            closer := Resim_obs.Prof.instrument_engine prof engine)
+          source)
   in
   !closer ();
   match result with
   | Error failure ->
       Format.eprintf "profile: %s@."
         (Resim_core.Resim.failure_to_string failure);
+      (match (failure, trace_file) with
+      | Resim_core.Resim.Fault fault, Some path -> resync_hint ~path fault
+      | _ -> ());
       exit fault_exit
   | Ok robust ->
       let stats = robust.Resim_core.Resim.outcome.Resim_core.Resim.stats in

@@ -16,16 +16,20 @@ let run ?(config = Config.reference) ?generator program =
           max_instructions = 20_000_000 }
   in
   let stream = Resim_tracegen.Stream.create ~config:generator program in
-  let source =
-    Source.of_pull (fun () -> Resim_tracegen.Stream.pull stream)
-  in
-  let engine = Engine.create_from_source ~config source in
+  let source = Source.of_pull (fun () -> Resim_tracegen.Stream.pull stream) in
+  (* The window's high-water mark, sampled as each cycle closes. *)
   let peak = ref 0 in
-  while not (Engine.finished engine) do
-    Engine.step engine;
-    peak := max !peak (Source.buffered source)
-  done;
-  { stats = Engine.stats engine;
+  let instrument engine =
+    Engine.set_phase_probe engine (function
+      | Engine.Ph_account -> peak := max !peak (Source.buffered source)
+      | _ -> ())
+  in
+  let outcome =
+    Result.fold ~ok:(fun robust -> robust.Resim.outcome)
+      ~error:Resim.raise_failure
+      (Resim.run ~config ~instrument source)
+  in
+  { stats = outcome.stats;
     correct_path = Resim_tracegen.Stream.correct_path stream;
     wrong_path = Resim_tracegen.Stream.wrong_path stream;
     mispredicted_branches =

@@ -832,25 +832,17 @@ let make_cycle (t : t) =
   let no_unit = Fu.no_unit in
   let commit_widths = Stats.commit_width_histogram stats in
   let issue_widths = Stats.issue_width_histogram stats in
-  (* Whole-array sources expose their length once so the per-cycle
-     end-of-trace check is a bare compare; pull sources keep the
-     ordinary calls. *)
-  let source_limit =
-    match source with
-    | Source.Whole records -> Array.length records
-    | Source.Windowed _ -> -1
-  in
+  (* The source window is read inline; only the window's edge (a pull
+     refill, or the end of the trace) goes through the [Source] calls. *)
   let source_has index =
-    if source_limit >= 0 then index >= 0 && index < source_limit
-    else Source.has source index
+    let offset = index - source.Source.base in
+    (offset >= 0 && offset < source.Source.length) || Source.has source index
   in
   let source_get index =
-    match source with
-    | Source.Whole records ->
-        if index < 0 || index >= Array.length records then
-          invalid_arg "Source.get: out of range";
-        records.(index)
-    | Source.Windowed _ -> Source.get source index
+    let offset = index - source.Source.base in
+    if offset >= 0 && offset < source.Source.length then
+      source.Source.window.(offset)
+    else Source.get source index
   in
   (* Constant-time queue operations, transcribed over the exposed
      representations (ring.mli, event_queue.mli): [-opaque] keeps the
@@ -1702,7 +1694,7 @@ let make_cycle (t : t) =
     if not t.fetch_enabled then ()
     else if t.fetch_stall > 0 then burn_fetch_stall t
     else begin
-      if source_limit < 0 then Source.release_below source t.cursor;
+      if not source.Source.exhausted then Source.release_below source t.cursor;
       fetch_loop 0
     end
   in

@@ -14,32 +14,25 @@ type outcome = {
   dcache_stats : Resim_cache.Cache.stats;
 }
 
-let outcome_of ~config ~records engine stats =
-  { config;
-    stats;
-    trace_summary = Resim_trace.Summary.of_records records;
-    bits_per_instruction = Resim_trace.Codec.bits_per_instruction records;
-    icache_stats = Resim_cache.Cache.stats (Engine.icache engine);
-    dcache_stats = Resim_cache.Cache.stats (Engine.dcache engine) }
-
-let simulate_trace ?(config = Config.reference) ?instrument records =
-  let engine = Engine.create ~config records in
-  (match instrument with Some f -> f engine | None -> ());
-  let stats = Engine.run engine in
-  outcome_of ~config ~records engine stats
-
 (* ------------------------------------------------------------------ *)
-(* Robust entry points: structured failures instead of exceptions,
+(* The one run entry point: structured failures instead of exceptions,
    graceful truncation under cycle/wall-clock budgets, deterministic
    resume from a replay checkpoint. *)
 
 type failure =
   | Fault of Resim_trace.Fault.t
   | Deadlock of Engine.deadlock
+  | Resume of string
 
 let failure_to_string = function
   | Fault fault -> Resim_trace.Fault.to_string fault
   | Deadlock d -> Format.asprintf "deadlock: %a" Engine.pp_deadlock d
+  | Resume reason -> "resume failed: " ^ reason
+
+let raise_failure = function
+  | Fault fault -> raise (Resim_trace.Fault.Trace_fault fault)
+  | Deadlock deadlock -> raise (Engine.Deadlock deadlock)
+  | Resume _ as failure -> failwith (failure_to_string failure)
 
 type robust = {
   outcome : outcome;
@@ -47,112 +40,89 @@ type robust = {
   resume : Checkpoint.t option;  (* Some whenever the run was truncated *)
 }
 
-(* The fault domain both robust entries share: [run] returns the outcome
-   and how the run ended. Trace faults and deadlocks become [Error];
-   truncation handles are stamped with the engine identity so a client
-   holding one cannot replay it on a different build or configuration
-   (RSM-K007 at resume). *)
-let robustly ~config run =
-  match run () with
-  | outcome, (bounded : Engine.bounded) ->
+exception Refused of string
+
+(* Replay a fresh engine to the checkpoint cycle and verify that the
+   cursor and every statistics register match the snapshot — a mismatch
+   means the checkpoint belongs to a different trace or configuration. *)
+let replay ?watchdog engine (checkpoint : Checkpoint.t) =
+  let target = checkpoint.cycle in
+  ignore (Engine.run_bounded ?watchdog ~max_cycles:target engine);
+  if Int64.compare (Engine.cycle engine) target <> 0 then
+    raise
+      (Refused
+         (Printf.sprintf
+            "trace drains at cycle %Ld, before the checkpoint cycle %Ld — \
+             wrong trace for this checkpoint"
+            (Engine.cycle engine) target))
+  else if Engine.cursor engine <> checkpoint.cursor then
+    raise
+      (Refused
+         (Printf.sprintf
+            "cursor mismatch at checkpoint cycle: replayed %d, recorded %d — \
+             wrong trace or configuration"
+            (Engine.cursor engine) checkpoint.cursor))
+  else if Stats.to_assoc (Engine.stats engine) <> checkpoint.counters then
+    raise
+      (Refused
+         "statistics mismatch at checkpoint cycle — wrong trace or \
+          configuration")
+
+let run ?(config = Config.reference) ?watchdog ?max_cycles ?deadline
+    ?instrument ?driver ?resume source =
+  let identity = engine_identity config in
+  match
+    (* Identity first (RSM-K007): refusing a foreign-build handle
+       outright beats letting the replay run to a baffling statistics
+       mismatch. *)
+    Option.iter
+      (fun checkpoint ->
+        match Checkpoint.verify_engine ~expected:identity checkpoint with
+        | Ok () -> ()
+        | Error error -> raise (Refused (Checkpoint.error_to_string error)))
+      resume;
+    let engine = Engine.create_from_source ~config source in
+    (* Observability hook: attach sinks/probes to the freshly created
+       engine before the first cycle runs. *)
+    Option.iter (fun f -> f engine) instrument;
+    Option.iter (replay ?watchdog engine) resume;
+    let bounded =
+      match driver with
+      | Some drive -> drive engine
+      | None -> Engine.run_bounded ?watchdog ?max_cycles ?deadline engine
+    in
+    let trace_summary, bits_per_instruction =
+      Source.consumed source (Engine.cursor engine)
+    in
+    ( { config;
+        stats = bounded.Engine.final;
+        trace_summary;
+        bits_per_instruction;
+        icache_stats = Resim_cache.Cache.stats (Engine.icache engine);
+        dcache_stats = Resim_cache.Cache.stats (Engine.dcache engine) },
+      bounded )
+  with
+  | outcome, bounded ->
+      (* Truncation handles carry the engine identity so a client
+         holding one cannot replay it on a different build or
+         configuration (RSM-K007 at resume). *)
       Ok
         { outcome;
           stop = bounded.stop;
           resume =
-            Option.map
-              (Checkpoint.with_engine (engine_identity config))
-              bounded.resume }
+            Option.map (Checkpoint.with_engine identity) bounded.resume }
   | exception Resim_trace.Fault.Trace_fault fault -> Error (Fault fault)
   | exception Engine.Deadlock deadlock -> Error (Deadlock deadlock)
+  | exception Refused reason -> Error (Resume reason)
 
-let simulate_robust ?(config = Config.reference) ?watchdog ?max_cycles
-    ?deadline ?instrument ?driver records =
-  robustly ~config (fun () ->
-      let engine = Engine.create ~config records in
-      (* Observability hook: attach sinks/probes to the freshly created
-         engine before the first cycle runs. *)
-      (match instrument with Some f -> f engine | None -> ());
-      let bounded =
-        match driver with
-        | Some drive -> drive engine
-        | None -> Engine.run_bounded ?watchdog ?max_cycles ?deadline engine
-      in
-      (outcome_of ~config ~records engine bounded.Engine.final, bounded))
+let simulate_trace ?config ?instrument records =
+  Result.fold ~ok:(fun robust -> robust.outcome) ~error:raise_failure
+    (run ?config ?instrument (Source.of_array records))
 
-(* Streaming robust entry: the engine pulls records on demand through a
-   [Source] window, so the trace never materialises — constant memory
-   for traces larger than RAM (pipes, chunked file cursors, foreign
-   adapters). The trace summary and the Fixed-format payload size
-   accumulate in place as records stream past, so the outcome reports
-   what the array path reports for the records pulled. *)
-let simulate_pull_robust ?(config = Config.reference) ?watchdog ?max_cycles
-    ?deadline ?instrument pull =
-  let tally = Resim_trace.Summary.Tally.create () in
-  let sizing = Resim_trace.Codec.fresh_state () in
-  let bits = ref 0 in
-  let counted () =
-    match pull () with
-    | Some record as next ->
-        Resim_trace.Summary.Tally.add tally record;
-        bits := !bits + Resim_trace.Codec.record_bits Fixed sizing record;
-        next
-    | None -> None
-  in
-  robustly ~config (fun () ->
-      let engine = Engine.create_from_source ~config (Source.of_pull counted) in
-      (match instrument with Some f -> f engine | None -> ());
-      let bounded = Engine.run_bounded ?watchdog ?max_cycles ?deadline engine in
-      let trace_summary = Resim_trace.Summary.Tally.freeze tally in
-      ( { config;
-          stats = bounded.Engine.final;
-          trace_summary;
-          bits_per_instruction =
-            (if trace_summary.total = 0 then 0.0
-             else float_of_int !bits /. float_of_int trace_summary.total);
-          icache_stats = Resim_cache.Cache.stats (Engine.icache engine);
-          dcache_stats = Resim_cache.Cache.stats (Engine.dcache engine) },
-        bounded ))
-
-let resume_trace ?(config = Config.reference) ~checkpoint records =
-  let target = checkpoint.Checkpoint.cycle in
-  (* Identity check first (RSM-K007): refusing a foreign-build handle
-     outright beats letting the replay run to a baffling statistics
-     mismatch. *)
-  match
-    Checkpoint.verify_engine ~expected:(engine_identity config) checkpoint
-  with
-  | Error error -> Error (Checkpoint.error_to_string error)
-  | Ok () ->
-  match
-    let engine = Engine.create ~config records in
-    while
-      Int64.compare (Engine.cycle engine) target < 0
-      && not (Engine.finished engine)
-    do
-      Engine.step engine
-    done;
-    if Int64.compare (Engine.cycle engine) target <> 0 then
-      Error
-        (Printf.sprintf
-           "trace drains at cycle %Ld, before the checkpoint cycle %Ld — \
-            wrong trace for this checkpoint"
-           (Engine.cycle engine) target)
-    else if Engine.cursor engine <> checkpoint.Checkpoint.cursor then
-      Error
-        (Printf.sprintf
-           "cursor mismatch at checkpoint cycle: replayed %d, recorded %d — \
-            wrong trace or configuration"
-           (Engine.cursor engine) checkpoint.Checkpoint.cursor)
-    else if
-      Stats.to_assoc (Engine.stats engine) <> checkpoint.Checkpoint.counters
-    then Error "statistics mismatch at checkpoint cycle — wrong trace or configuration"
-    else Ok (outcome_of ~config ~records engine (Engine.run engine))
-  with
-  | result -> result
-  | exception Resim_trace.Fault.Trace_fault fault ->
-      Error (Resim_trace.Fault.to_string fault)
-  | exception Engine.Deadlock deadlock ->
-      Error (Format.asprintf "deadlock: %a" Engine.pp_deadlock deadlock)
+(* Kept only for perfbench/perfbench.ml, the frozen benchmark harness,
+   which calls it; new code calls [run]. *)
+let simulate_pull_robust ?config ?watchdog ?max_cycles ?deadline ?instrument p =
+  run ?config ?watchdog ?max_cycles ?deadline ?instrument (Source.of_pull p)
 
 let simulate_program ?(config = Config.reference) ?generator program =
   let generator =

@@ -19,7 +19,7 @@ val version : string
 val engine_identity : Config.t -> string
 (** ["<version>/<config hash>"] — the identity a checkpoint or cached
     result is only valid against. Stamped onto truncation checkpoints
-    by {!simulate_robust}, checked on resume ([RSM-K007]), and used as
+    by {!run}, checked on resume ([RSM-K007]), and used as
     the engine component of the server's cache keys. *)
 
 type outcome = {
@@ -37,7 +37,9 @@ val simulate_trace :
   ?instrument:(Engine.t -> unit) ->
   Resim_trace.Record.t array ->
   outcome
-(** [instrument] runs on the freshly created engine before the first
+(** {!run} over an array source that raises instead of returning
+    [Error]: {!Resim_trace.Fault.Trace_fault} or {!Engine.Deadlock}.
+    [instrument] runs on the freshly created engine before the first
     cycle — the hook the observability sinks and probes attach
     through. *)
 
@@ -51,19 +53,27 @@ val simulate_program :
     taken from the engine configuration so the generator and the engine
     model the same front end. *)
 
-(** {1 Robust entry points}
+(** {1 The run entry point}
 
     Structured failures instead of exceptions, graceful truncation under
     cycle/wall-clock budgets, and deterministic resume from a replay
     checkpoint. *)
 
-(** Why a robust run could not produce statistics. *)
+(** Why a run could not produce statistics. *)
 type failure =
   | Fault of Resim_trace.Fault.t
       (** the trace violated the format or tag-bit protocol *)
   | Deadlock of Engine.deadlock  (** the progress watchdog tripped *)
+  | Resume of string
+      (** the resume checkpoint belongs to another engine build
+          ([RSM-K007]), trace or configuration *)
 
 val failure_to_string : failure -> string
+
+val raise_failure : failure -> 'a
+(** Re-raise a failure as the exception a direct engine run throws:
+    {!Resim_trace.Fault.Trace_fault}, {!Engine.Deadlock}, or [Failure]
+    for a refused resume. *)
 
 type robust = {
   outcome : outcome;
@@ -72,27 +82,45 @@ type robust = {
       (** a replay checkpoint whenever the run was truncated *)
 }
 
-val simulate_robust :
+val run :
   ?config:Config.t ->
   ?watchdog:int ->
   ?max_cycles:int64 ->
   ?deadline:(unit -> bool) ->
   ?instrument:(Engine.t -> unit) ->
   ?driver:(Engine.t -> Engine.bounded) ->
-  Resim_trace.Record.t array ->
+  ?resume:Checkpoint.t ->
+  Source.t ->
   (robust, failure) result
-(** {!simulate_trace} under fault domains: trace faults and deadlocks
-    come back as [Error]; cycle/wall-clock budgets truncate gracefully
-    with partial statistics and a resume checkpoint. [instrument] runs
-    on the freshly created engine before the first cycle, so callers
-    can attach observability sinks ({!Engine.set_observer}) or phase
-    probes ({!Engine.set_phase_probe}) without building the engine
-    themselves. [driver] replaces {!Engine.run_bounded} as the run
-    loop — the sampled-simulation driver ({!Resim_sample.Sample}) uses
-    it to alternate functional warm-up and detailed intervals; when
-    given, it owns all budget handling and [watchdog]/[max_cycles]/
-    [deadline] are ignored. Trace faults and deadlocks it raises are
-    still caught into [Error]. *)
+(** Build an engine over [source] and run it under fault domains.
+    Trace faults (including a pull that raises
+    {!Resim_trace.Fault.Trace_fault}) and deadlocks come back as
+    [Error]; the cycle budget [max_cycles] (absolute major cycles) and
+    the wall-clock [deadline] truncate gracefully with partial
+    statistics and a resume checkpoint stamped with
+    {!engine_identity}.
+
+    [instrument] runs on the freshly created engine before the first
+    cycle, so callers can attach observability sinks
+    ({!Engine.set_observer}) or phase probes ({!Engine.set_phase_probe})
+    without building the engine themselves. [driver] replaces
+    {!Engine.run_bounded} as the run loop — the sampled-simulation
+    driver ({!Resim_sample.Sample}) uses it to alternate functional
+    warm-up and detailed intervals; when given, it owns all budget
+    handling and [max_cycles]/[deadline] are ignored.
+
+    [resume] continues a truncated run deterministically: the checkpoint's
+    engine identity is checked first ([RSM-K007]), then the engine
+    replays [source] from its start to the checkpoint cycle and the
+    cursor and every statistics register must match the snapshot; a
+    mismatch is [Error (Resume _)]. The run then continues under the
+    same budgets, so a resumed run can truncate (and checkpoint) again,
+    and a drained one is bit-identical to an uninterrupted run.
+
+    The outcome's trace summary and Fixed-format [bits_per_instruction]
+    count the records the engine consumed — those below its final
+    cursor ({!Source.consumed}) — for every kind of source, so a drained
+    run reports the whole trace however it arrived. *)
 
 val simulate_pull_robust :
   ?config:Config.t ->
@@ -102,28 +130,8 @@ val simulate_pull_robust :
   ?instrument:(Engine.t -> unit) ->
   (unit -> Resim_trace.Record.t option) ->
   (robust, failure) result
-(** {!simulate_robust} over a pull stream instead of an array: the
-    engine draws records on demand through a {!Source} window, so the
-    trace never materialises — constant memory for traces larger than
-    RAM (chunked file cursors, pipes, foreign-format adapters). The
-    trace summary and the Fixed-format [bits_per_instruction] accumulate
-    per record ({!Resim_trace.Codec.record_bits}), so a drained run
-    reports what {!simulate_robust} reports on the same records. A pull that
-    raises {!Resim_trace.Fault.Trace_fault} (truncated or corrupt
-    stream, malformed foreign line) comes back as [Error (Fault _)]. *)
-
-val resume_trace :
-  ?config:Config.t ->
-  checkpoint:Checkpoint.t ->
-  Resim_trace.Record.t array ->
-  (outcome, string) result
-(** Deterministically resume a truncated run: replay the trace to the
-    checkpoint cycle, verify the cursor and every statistics register
-    match the snapshot (refusing a checkpoint from a different trace or
-    configuration), then run to completion. The final statistics are
-    bit-identical to an unbounded run by construction. A checkpoint
-    stamped with a different {!engine_identity} is refused before the
-    replay starts ([RSM-K007]). *)
+(** [run] over [Source.of_pull pull]. Kept for the external benchmark
+    harness; new code calls {!run}. *)
 
 (** {1 Paper metrics} *)
 

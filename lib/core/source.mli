@@ -4,30 +4,32 @@
     lookahead for Tag-Bit detection), so besides whole in-memory arrays
     it can consume records *pulled on demand* from a live producer — the
     paper's future-work idea of feeding ReSim directly from a functional
-    simulator, as in FAST. A pull source buffers a sliding window and
-    reclaims records once the engine's cursor has passed them, keeping
-    memory bounded for arbitrarily long co-simulations.
+    simulator, as in FAST. Both are one representation: a window of
+    records starting at absolute index [base], refilled from a producer.
+    An array source is a window that starts full with its producer
+    already exhausted, so its array is never copied, compacted or
+    written. A pull source reclaims records once the engine's cursor has
+    passed them, keeping memory bounded for arbitrarily long runs.
 
-    The representation is exposed for the production engine cycle
-    (DESIGN.md §8): its fetch loop inlines the [Whole] fast
-    path (a bounds check plus an array read) and falls back to the
-    ordinary calls for [Windowed] sources. Treat the type as private
-    elsewhere. *)
+    The record is readable for the production engine cycle (DESIGN.md
+    §8): its fetch loop reads [window]/[base]/[length] inline and falls
+    back to the calls below only at the window's edge. *)
 
-type pull_state = {
+type counter
+(** Running count of the records already passed (see {!consumed}). *)
+
+type t = private {
   pull : unit -> Resim_trace.Record.t option;
   mutable window : Resim_trace.Record.t array;
-  mutable base : int;  (* absolute index of [window.(0)] *)
-  mutable length : int;  (* valid records in the window *)
-  mutable exhausted : bool;
+  mutable base : int;  (** absolute index of [window.(0)] *)
+  mutable length : int;  (** valid records in the window *)
+  mutable exhausted : bool;  (** the producer has returned [None] *)
   mutable reclaim_below : int;
+  counter : counter;
 }
 
-type t =
-  | Whole of Resim_trace.Record.t array
-  | Windowed of pull_state
-
 val of_array : Resim_trace.Record.t array -> t
+(** The array itself is the window; it is never modified. *)
 
 val of_pull : (unit -> Resim_trace.Record.t option) -> t
 (** [of_pull next] produces records by calling [next] on demand; [None]
@@ -50,8 +52,16 @@ val get : t -> int -> Resim_trace.Record.t
 
 val release_below : t -> int -> unit
 (** Allow the source to reclaim storage for records at positions strictly
-    below [index]. No-op for array sources. *)
+    below [index]. Only a live producer's window is ever compacted. *)
 
 val buffered : t -> int
 (** Records currently held in memory (diagnostics; the array source
     reports the full array length). *)
+
+val consumed : t -> int -> Resim_trace.Summary.t * float
+(** [consumed source cursor] summarises the records below [cursor] (the
+    engine's final cursor) and their Fixed-format size in bits per
+    instruction ({!Resim_trace.Codec.record_bits}). Records are counted
+    as compaction passes them and the rest here, so the answer is the
+    same for every kind of source. [cursor] must not decrease between
+    calls. *)

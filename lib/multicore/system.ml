@@ -1,15 +1,6 @@
-(* How a core's trace reaches its engine: a materialized array, or a
-   pull stream drawn through a [Source] window so a core can run a
-   trace larger than RAM (chunked file cursor, pipe, foreign adapter).
-   Every core gets a Source-backed engine either way — [Records] is
-   just the whole-array source. *)
-type feed =
-  | Records of Resim_trace.Record.t array
-  | Stream of (unit -> Resim_trace.Record.t option)
-
 type core_spec = {
   name : string;
-  feed : feed;
+  source : Resim_core.Source.t;
   config : Resim_core.Config.t;
 }
 
@@ -22,10 +13,6 @@ type core = {
 }
 
 type t = { cores : core list; mutable clock : int64 }
-
-let source_of_feed = function
-  | Records records -> Resim_core.Source.of_array records
-  | Stream pull -> Resim_core.Source.of_pull pull
 
 let create specs =
   if specs = [] then invalid_arg "System.create: no cores";
@@ -49,7 +36,7 @@ let create specs =
         { spec;
           engine =
             Resim_core.Engine.create_from_source ~config:spec.config
-              (source_of_feed spec.feed);
+              spec.source;
           finished_at = None;
           fault = None })
       specs

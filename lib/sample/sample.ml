@@ -287,10 +287,10 @@ let driver ?watchdog ?deadline ?max_cycles ~spec cell engine =
     finish (Option.get !result)
   end
 
-let run ?config ?watchdog ?deadline ?max_cycles ?instrument ~spec records =
+let run ?config ?watchdog ?deadline ?max_cycles ?instrument ~spec source =
   let cell = ref None in
   let driver = driver ?watchdog ?deadline ?max_cycles ~spec cell in
-  match Resim.simulate_robust ?config ?instrument ~driver records with
+  match Resim.run ?config ?instrument ~driver source with
   | Error _ as error -> error
   | Ok robust -> (
       match !cell with

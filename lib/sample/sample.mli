@@ -78,7 +78,7 @@ val driver :
   report option ref ->
   Resim_core.Engine.t ->
   Resim_core.Engine.bounded
-(** The run loop handed to {!Resim_core.Resim.simulate_robust} via its
+(** The run loop handed to {!Resim_core.Resim.run} via its
     [?driver] parameter: alternate functional warm-up and detailed
     intervals until the trace drains, writing the accumulated {!report}
     through the ref (also on truncation — the intervals completed so
@@ -93,9 +93,10 @@ val run :
   ?max_cycles:int64 ->
   ?instrument:(Resim_core.Engine.t -> unit) ->
   spec:spec ->
-  Resim_trace.Record.t array ->
+  Resim_core.Source.t ->
   (Resim_core.Resim.robust * report, Resim_core.Resim.failure) result
-(** {!Resim_core.Resim.simulate_robust} under the sampling {!driver}.
-    The outcome's statistics cover only the detailed portions (plus
-    drain and priming cycles); [report] carries the sampled IPC
-    estimate. *)
+(** {!Resim_core.Resim.run} under the sampling {!driver}, over any
+    source: the driver walks the trace once, in order, so an array and
+    a pull stream of the same records give the same report. The
+    outcome's statistics cover only the detailed portions (plus drain
+    and priming cycles); [report] carries the sampled IPC estimate. *)

@@ -42,7 +42,7 @@ let trace_job ?(label = "trace") ?timeout ?sample ~config records =
     timeout;
     sample }
 
-let stream_job ?(label = "stream") ?timeout ~config open_stream =
+let stream_job ?(label = "stream") ?timeout ?sample ~config open_stream =
   { label;
     workload = List.hd Resim_workloads.Workload.all;
     config;
@@ -50,9 +50,7 @@ let stream_job ?(label = "stream") ?timeout ~config open_stream =
     records = None;
     stream = Some open_stream;
     timeout;
-    (* Sampling needs random access into the trace; a one-pass pull
-       stream cannot provide it. *)
-    sample = None }
+    sample }
 
 let generator_config (config : Config.t) =
   { Resim_tracegen.Generator.predictor = config.predictor;
@@ -102,13 +100,6 @@ let generated_of_records records =
     mispredicted_branches = 0;
     executed_to_completion = true }
 
-let acquire job =
-  match job.records with
-  | Some records -> generated_of_records records
-  | None ->
-      Resim_tracegen.Generator.run ~config:(generator_config job.config)
-        (program_of job)
-
 (* A streamed job's trace never materialises; after the run, the
    incremental summary stands in for generator metadata. *)
 let generated_of_summary (summary : Resim_trace.Summary.t) =
@@ -118,69 +109,76 @@ let generated_of_summary (summary : Resim_trace.Summary.t) =
     mispredicted_branches = 0;
     executed_to_completion = true }
 
-let wrap_result ~job ~generated ~started ~sample_report outcome =
-  let wall_seconds = Unix.gettimeofday () -. started in
-  let committed = Int64.to_float (Stats.get Stats.committed outcome.Resim_core.Resim.stats) in
-  let host_mips =
-    if wall_seconds > 0.0 then committed /. wall_seconds /. 1e6 else 0.0
-  in
-  { job; generated; outcome; telemetry = { wall_seconds; host_mips };
-    sample_report }
+(* The job's records as a [Source], with the generator metadata when it
+   is known before the run. A stream is opened here, on the worker
+   domain that runs the job — its thunk captures only domain-safe
+   values, typically a path. *)
+let acquire job =
+  match (job.stream, job.records) with
+  | Some open_stream, _ ->
+      (None, Resim_core.Source.of_pull (open_stream ()))
+  | None, Some records ->
+      (Some (generated_of_records records), Resim_core.Source.of_array records)
+  | None, None ->
+      let generated =
+        Resim_tracegen.Generator.run ~config:(generator_config job.config)
+          (program_of job)
+      in
+      (Some generated, Resim_core.Source.of_array generated.records)
 
-let run_stream_job ?instrument job open_stream =
+(* One job through [Resim.run], sampled when the job asks. The
+   wall-clock window, and the deadline, open after trace acquisition:
+   host_mips is an engine-throughput figure, and generation (often the
+   longer half) must not dilute it. A regression test pins this. *)
+let simulate ?watchdog ?max_cycles ?timeout ?instrument job
+    (generated, source) =
   let started = Unix.gettimeofday () in
-  match
-    Resim_core.Resim.simulate_pull_robust ~config:job.config ?instrument
-      (open_stream ())
-  with
-  | Stdlib.Error (Resim_core.Resim.Fault fault) ->
-      raise (Fault.Trace_fault fault)
-  | Stdlib.Error (Resim_core.Resim.Deadlock d) -> raise (Engine.Deadlock d)
-  | Stdlib.Ok robust ->
-      let outcome = robust.Resim_core.Resim.outcome in
-      wrap_result ~job
-        ~generated:(generated_of_summary outcome.trace_summary)
-        ~started ~sample_report:None outcome
+  let deadline =
+    Option.map
+      (fun seconds ->
+        let limit = started +. seconds in
+        fun () -> Unix.gettimeofday () > limit)
+      timeout
+  in
+  let config = job.config in
+  let ran =
+    match job.sample with
+    | None ->
+        Stdlib.Result.map
+          (fun robust -> (robust, None))
+          (Resim_core.Resim.run ~config ?watchdog ?max_cycles ?deadline
+             ?instrument source)
+    | Some spec ->
+        Stdlib.Result.map
+          (fun (robust, report) -> (robust, Some report))
+          (Resim_sample.Sample.run ~config ?watchdog ?max_cycles ?deadline
+             ?instrument ~spec source)
+  in
+  Stdlib.Result.map
+    (fun ((robust : Resim_core.Resim.robust), sample_report) ->
+      let outcome = robust.outcome in
+      let generated =
+        match generated with
+        | Some generated -> generated
+        | None -> generated_of_summary outcome.trace_summary
+      in
+      let wall_seconds = Unix.gettimeofday () -. started in
+      let committed =
+        Int64.to_float (Stats.get Stats.committed outcome.stats)
+      in
+      let host_mips =
+        if wall_seconds > 0.0 then committed /. wall_seconds /. 1e6 else 0.0
+      in
+      ( { job; generated; outcome; telemetry = { wall_seconds; host_mips };
+          sample_report },
+        robust ))
+    ran
 
 let run_job ?instrument job =
   validate_job job;
-  match job.stream with
-  | Some open_stream -> run_stream_job ?instrument job open_stream
-  | None ->
-  let generated = acquire job in
-  (* The wall-clock window opens after trace acquisition: host_mips is
-     an engine-throughput figure, and generation (often the longer
-     half) must not dilute it. A regression test pins this. *)
-  let started = Unix.gettimeofday () in
-  let outcome, sample_report =
-    match job.sample with
-    | None ->
-        ( Resim_core.Resim.simulate_trace ~config:job.config ?instrument
-            generated.records,
-          None )
-    | Some spec -> (
-        (* Fail-fast contract: re-raise what a direct engine run would
-           have thrown. *)
-        match
-          Resim_sample.Sample.run ~config:job.config ?instrument ~spec
-            generated.records
-        with
-        | Stdlib.Ok (robust, report) ->
-            (robust.Resim_core.Resim.outcome, Some report)
-        | Stdlib.Error (Resim_core.Resim.Fault fault) ->
-            raise (Fault.Trace_fault fault)
-        | Stdlib.Error (Resim_core.Resim.Deadlock d) ->
-            raise (Engine.Deadlock d))
-  in
-  let wall_seconds = Unix.gettimeofday () -. started in
-  let committed =
-    Int64.to_float (Stats.get Stats.committed outcome.stats)
-  in
-  let host_mips =
-    if wall_seconds > 0.0 then committed /. wall_seconds /. 1e6 else 0.0
-  in
-  { job; generated; outcome; telemetry = { wall_seconds; host_mips };
-    sample_report }
+  match simulate ?instrument job (acquire job) with
+  | Stdlib.Ok (result, _) -> result
+  | Stdlib.Error failure -> Resim_core.Resim.raise_failure failure
 
 (* ------------------------------------------------------------------ *)
 (* Per-job fault domains: one job's corrupt trace, deadlock, timeout or
@@ -251,123 +249,45 @@ let fault_of_diagnostic (d : Rcheck.Diagnostic.t) =
   in
   Fault.make ~code:d.code ~offset ~context:d.message
 
-(* Streamed jobs: open the pull stream on this (worker) domain — the
-   thunk captures only domain-safe values, typically a path — and let
-   the engine draw records through a Source window. There is no
-   up-front lint gate (a one-pass stream cannot be linted and then
-   simulated); the codec cursor's typed errors surface mid-run as
-   Trace_fault and land in [Failed (Fault _)], and a truncated stream
-   is exactly such a fault, never a silently short [Ok]. *)
-let attempt_stream ~policy ?instrument (job : job) open_stream : outcome =
-  let started = Unix.gettimeofday () in
-  let timeout =
-    match job.timeout with Some t -> Some t | None -> policy.timeout
-  in
-  let deadline =
-    Option.map
-      (fun seconds ->
-        let limit = started +. seconds in
-        fun () -> Unix.gettimeofday () > limit)
-      timeout
-  in
-  match
-    Resim_core.Resim.simulate_pull_robust ~config:job.config
-      ?watchdog:policy.watchdog ?max_cycles:policy.max_cycles ?deadline
-      ?instrument (open_stream ())
-  with
-  | Stdlib.Error (Resim_core.Resim.Fault fault) -> Failed (Fault fault)
-  | Stdlib.Error (Resim_core.Resim.Deadlock d) -> Failed (Deadlock d)
-  | Stdlib.Ok robust -> (
-      let outcome = robust.Resim_core.Resim.outcome in
-      let result =
-        wrap_result ~job
-          ~generated:(generated_of_summary outcome.trace_summary)
-          ~started ~sample_report:None outcome
-      in
-      match robust.Resim_core.Resim.stop with
-      | Engine.Drained -> Ok result
-      | Engine.Time_budget -> Timed_out result.telemetry.wall_seconds
-      | Engine.Cycle_budget | Engine.Commit_target -> (
-          match robust.Resim_core.Resim.resume with
-          | Some checkpoint -> Truncated (result, checkpoint)
-          | None -> Ok result))
-
 let attempt_unsafe ~policy ?instrument job : outcome =
-  match job.stream with
-  | Some open_stream -> attempt_stream ~policy ?instrument job open_stream
-  | None ->
-  let generated = acquire job in
-  (* Pre-built traces pass the resim-check lint gate first: the engine
+  let input = acquire job in
+  (* Pre-built arrays pass the resim-check lint gate first: the engine
      tolerates many protocol violations silently (orphan tags are
      discarded, runaway blocks squashed), so structural faults must
-     surface here as structured failures with their RSM-T code. *)
+     surface here as structured failures with their RSM-T code. A
+     stream cannot be linted and then simulated; its codec's typed
+     errors surface mid-run as [Failed (Fault _)] instead, and a
+     truncated stream is exactly such a fault, never a silently short
+     [Ok]. *)
   let gate =
-    match job.records with
-    | None -> None
-    | Some records ->
+    match (job.stream, job.records) with
+    | None, Some records ->
         let lint =
           Rcheck.Trace.lint_records
             ~max_wrong_path_run:(protocol_max_run job.config) records
         in
-        List.find_opt Rcheck.Diagnostic.is_error
-          lint.Rcheck.Trace.diagnostics
+        List.find_opt Rcheck.Diagnostic.is_error lint.Rcheck.Trace.diagnostics
+    | _ -> None
   in
   match gate with
   | Some diagnostic -> Failed (Fault (fault_of_diagnostic diagnostic))
   | None -> (
-      let started = Unix.gettimeofday () in
       let timeout =
         match job.timeout with Some t -> Some t | None -> policy.timeout
       in
-      let deadline =
-        Option.map
-          (fun seconds ->
-            let limit = started +. seconds in
-            fun () -> Unix.gettimeofday () > limit)
-          timeout
-      in
-      let simulated =
-        match job.sample with
-        | None ->
-            Stdlib.Result.map
-              (fun robust -> (robust, None))
-              (Resim_core.Resim.simulate_robust ~config:job.config
-                 ?watchdog:policy.watchdog ?max_cycles:policy.max_cycles
-                 ?deadline ?instrument
-                 generated.Resim_tracegen.Generator.records)
-        | Some spec ->
-            (* Sampled under the same budgets: the driver threads the
-               deadline and cycle ceiling through every detailed
-               interval, so truncation behaves like an unsampled run. *)
-            Stdlib.Result.map
-              (fun (robust, report) -> (robust, Some report))
-              (Resim_sample.Sample.run ~config:job.config
-                 ?watchdog:policy.watchdog ?max_cycles:policy.max_cycles
-                 ?deadline ?instrument ~spec
-                 generated.Resim_tracegen.Generator.records)
-      in
-      match simulated with
+      match
+        simulate ?watchdog:policy.watchdog ?max_cycles:policy.max_cycles
+          ?timeout ?instrument job input
+      with
       | Stdlib.Error (Resim_core.Resim.Fault fault) -> Failed (Fault fault)
       | Stdlib.Error (Resim_core.Resim.Deadlock d) -> Failed (Deadlock d)
-      | Stdlib.Ok (robust, sample_report) ->
-          let wall_seconds = Unix.gettimeofday () -. started in
-          let outcome = robust.Resim_core.Resim.outcome in
-          let committed =
-            Int64.to_float (Stats.get Stats.committed outcome.stats)
-          in
-          let host_mips =
-            if wall_seconds > 0.0 then committed /. wall_seconds /. 1e6
-            else 0.0
-          in
-          let result =
-            { job; generated; outcome;
-              telemetry = { wall_seconds; host_mips }; sample_report }
-          in
-          (match robust.Resim_core.Resim.stop with
+      | Stdlib.Error (Resim_core.Resim.Resume reason) -> Failed (Invalid reason)
+      | Stdlib.Ok (result, robust) -> (
+          match robust.stop with
           | Engine.Drained -> Ok result
-          | Engine.Time_budget -> Timed_out wall_seconds
+          | Engine.Time_budget -> Timed_out result.telemetry.wall_seconds
           | Engine.Cycle_budget | Engine.Commit_target -> (
-              match robust.Resim_core.Resim.resume with
+              match robust.resume with
               | Some checkpoint -> Truncated (result, checkpoint)
               | None -> Ok result)))
 

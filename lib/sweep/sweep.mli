@@ -68,6 +68,7 @@ val trace_job :
 val stream_job :
   ?label:string ->
   ?timeout:float ->
+  ?sample:Resim_sample.Sample.spec ->
   config:Resim_core.Config.t ->
   (unit -> unit -> Resim_trace.Record.t option) ->
   job
@@ -76,10 +77,10 @@ val stream_job :
     values (typically a file path — e.g.
     [fun () -> Resim_trace.Stream.(next-of open_path path)]). The
     engine draws records through a [Source] window, so a trace larger
-    than RAM sweeps in constant memory. There is no up-front lint
-    gate on this path: the codec's typed stream errors (truncation,
-    corruption — RSM-T codes) surface mid-run and land in
-    [Failed (Fault _)]. Sampling is unavailable (one-pass stream). *)
+    than RAM sweeps in constant memory, sampled ([sample]) or not.
+    There is no up-front lint gate on this path: the codec's typed
+    stream errors (truncation, corruption — RSM-T codes) surface
+    mid-run and land in [Failed (Fault _)]. *)
 
 val generator_config :
   Resim_core.Config.t -> Resim_tracegen.Generator.config

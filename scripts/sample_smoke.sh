@@ -2,9 +2,9 @@
 # Sampled-simulation smoke test, wired into `make check` (and available
 # as `make sample-smoke`): run one kernel end to end under --sample,
 # check the --metrics document carries the sample section and parses,
-# check the run is deterministic for a fixed seed, check the spec
-# grammar is enforced (exit 2), and push one sampled sweep through the
-# grid. Everything under `timeout`.
+# check the run is deterministic for a fixed seed and identical on a
+# streamed trace file, check the spec grammar is enforced (exit 2), and
+# push one sampled sweep through the grid. Everything under `timeout`.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -72,6 +72,23 @@ grep 'sampled (' "$TMP/second.out" > "$TMP/second.sampled"
 if ! cmp -s "$TMP/first.sampled" "$TMP/second.sampled"; then
     echo "FAIL determinism: two runs with the same seed diverged"
     diff "$TMP/first.sampled" "$TMP/second.sampled" || true
+    fail=1
+fi
+
+# --- sampling a stream equals sampling the array ---------------------
+# The same records from an encoded file (streamed through the chunked
+# cursor) give the same sampled report and byte-identical metrics.
+timeout 300 "$CLI" tracegen -k gzip -s 4000 -o "$TMP/g.rtr" > /dev/null
+timeout 300 "$CLI" simulate -t "$TMP/g.rtr" --sample 200:1800:7 \
+    --metrics "$TMP/streamed.json" > "$TMP/streamed.out"
+grep 'sampled (' "$TMP/streamed.out" > "$TMP/streamed.sampled"
+if ! cmp -s "$TMP/first.sampled" "$TMP/streamed.sampled"; then
+    echo "FAIL stream: sampled summary differs from the array run"
+    diff "$TMP/first.sampled" "$TMP/streamed.sampled" || true
+    fail=1
+fi
+if ! cmp -s "$TMP/sampled.json" "$TMP/streamed.json"; then
+    echo "FAIL stream: sampled metrics differ from the array run"
     fail=1
 fi
 

@@ -17,13 +17,15 @@
 #      files, streamed-header files and pipes (-t -) agree.
 #   3. Sharded traces (tracegen --records-per-shard) lint clean shard
 #      by shard and simulate identically to the unsharded trace.
-#   4. A streamed run truncated by --max-cycles writes a checkpoint that
-#      --resume (which materializes the trace) completes to exactly the
-#      statistics of an uninterrupted run.
+#   4. A run truncated by --max-cycles writes a checkpoint; --resume
+#      under a larger --max-cycles truncates and checkpoints again, and
+#      resuming that completes to exactly the statistics of an
+#      uninterrupted run.
 #   5. Constant-memory guard: a 2M-record trace streams through the
-#      engine within a peak-RSS budget several times below what
-#      materializing it costs, so a regression that silently
-#      materializes the stream fails the gate.
+#      engine — plain, sampled (--sample) and resumed (--resume) —
+#      within a peak-RSS budget several times below what materializing
+#      it costs, so a regression that silently materializes the stream
+#      fails the gate.
 set -eu
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -218,18 +220,28 @@ if ! cmp -s "$TMP/a.json" "$TMP/c.json"; then
     fail=1
 fi
 
-# --- 4. checkpoint on the streamed path, resume on the array ------------
+# --- 4. checkpoint, resume under a budget, resume again ----------------
 
-# CSV metrics: the counters only, without the engine-identity splice
-# (resume replays on the generic engine).
+# CSV metrics: the counters only. --max-cycles is absolute, so the
+# resumed run stops again at cycle 40000 and writes a second checkpoint.
 timeout 120 "$CLI" simulate -t "$TMP/t.rtr" --metrics "$TMP/full.csv" \
     > /dev/null
 timeout 120 "$CLI" simulate -t "$TMP/t.rtr" --max-cycles 20000 \
     --checkpoint "$TMP/c.rscp" > /dev/null
 status=0
 timeout 120 "$CLI" simulate -t "$TMP/t.rtr" --resume "$TMP/c.rscp" \
+    --max-cycles 40000 --checkpoint "$TMP/c2.rscp" > "$TMP/r1.out" 2>&1 \
+    || status=$?
+expect_exit "resume under a cycle budget" 0 $status
+if ! grep -q 'run truncated by --max-cycles' "$TMP/r1.out" \
+    || [ ! -s "$TMP/c2.rscp" ]; then
+    echo "FAIL resume budget: --max-cycles/--checkpoint ignored after --resume"
+    fail=1
+fi
+status=0
+timeout 120 "$CLI" simulate -t "$TMP/t.rtr" --resume "$TMP/c2.rscp" \
     --metrics "$TMP/resumed.csv" > /dev/null 2>&1 || status=$?
-expect_exit "resume from a streamed checkpoint" 0 $status
+expect_exit "resume from the second checkpoint" 0 $status
 if ! cmp -s "$TMP/full.csv" "$TMP/resumed.csv"; then
     echo "FAIL checkpoint round trip: resumed stats differ from an uninterrupted run"
     fail=1
@@ -237,49 +249,62 @@ fi
 
 # --- 5. constant-memory guard ------------------------------------------
 
-# 2M records: materializing them costs well over 200 MB peak RSS (the
-# --sample/--resume path still does); the streamed path was measured
-# at ~19 MB. Budget 64 MB — a silent materialization (or an unbounded
-# refill buffer) blows through it.
+# 2M records: materializing them costs well over 200 MB peak RSS; the
+# streamed path was measured at ~19 MB, and --sample/--resume stream
+# the same way. Budget 64 MB — a silent materialization (or an
+# unbounded refill buffer) blows through it.
 RSS_BUDGET_KB=65536
 timeout 300 "$CLI" tracegen --stream --limit 2000000 -k gzip \
     > "$TMP/big.rtr" 2> /dev/null
+timeout 300 "$CLI" simulate -t "$TMP/big.rtr" --max-cycles 200000 \
+    --checkpoint "$TMP/big.rscp" > /dev/null 2>&1
 
-# Background the CLI directly (no `timeout` wrapper: $pid must be the
-# simulator itself for /proc VmHWM); the poll loop doubles as the
-# watchdog.
-"$CLI" simulate -t "$TMP/big.rtr" \
-    --metrics "$TMP/p.json" > /dev/null 2>&1 &
-pid=$!
-peak=0
-ticks=0
-while kill -0 "$pid" 2> /dev/null; do
-    v=$(awk '/VmHWM/ { print $2 }' "/proc/$pid/status" 2> /dev/null || echo 0)
-    if [ "${v:-0}" -gt "$peak" ]; then peak=$v; fi
-    ticks=$((ticks + 1))
-    if [ "$ticks" -gt 6000 ]; then
-        echo "FAIL constant-memory guard: simulate still running after ~600s"
-        kill -9 "$pid" 2> /dev/null || true
+# guard_rss LABEL ARGS... runs `simulate -t big.rtr ARGS` and checks its
+# peak RSS. The CLI is backgrounded directly (no `timeout` wrapper:
+# $pid must be the simulator itself for /proc VmHWM); the poll loop
+# doubles as the watchdog.
+max_peak=0
+guard_rss() {
+    label=$1
+    shift
+    "$CLI" simulate -t "$TMP/big.rtr" "$@" > /dev/null 2>&1 &
+    pid=$!
+    peak=0
+    ticks=0
+    while kill -0 "$pid" 2> /dev/null; do
+        v=$(awk '/VmHWM/ { print $2 }' "/proc/$pid/status" 2> /dev/null || echo 0)
+        if [ "${v:-0}" -gt "$peak" ]; then peak=$v; fi
+        ticks=$((ticks + 1))
+        if [ "$ticks" -gt 6000 ]; then
+            echo "FAIL constant-memory guard ($label): still running after ~600s"
+            kill -9 "$pid" 2> /dev/null || true
+            fail=1
+            break
+        fi
+        sleep 0.1
+    done
+    status=0
+    wait "$pid" || status=$?
+    expect_exit "2M-record $label simulate" 0 $status
+    if [ "$peak" -gt "$RSS_BUDGET_KB" ]; then
+        echo "FAIL constant-memory guard ($label): peak RSS ${peak} kB > budget ${RSS_BUDGET_KB} kB"
         fail=1
-        break
     fi
-    sleep 0.1
-done
-status=0
-wait "$pid" || status=$?
-expect_exit "2M-record streamed simulate" 0 $status
-if [ "$peak" -gt "$RSS_BUDGET_KB" ]; then
-    echo "FAIL constant-memory guard: peak RSS ${peak} kB > budget ${RSS_BUDGET_KB} kB"
-    fail=1
-fi
+    if [ "$peak" -gt "$max_peak" ]; then max_peak=$peak; fi
+    echo "constant-memory guard: $label peak RSS ${peak} kB"
+}
+
+guard_rss streamed --metrics "$TMP/p.json"
 committed=$(metric "$TMP/p.json" committed)
 if [ "${committed:-0}" -le 1000000 ]; then
     echo "FAIL constant-memory guard: committed=$committed, want > 1000000"
     fail=1
 fi
+guard_rss sampled --sample 1000:19000:7
+guard_rss resumed --resume "$TMP/big.rscp"
 
 if [ "$fail" -ne 0 ]; then
     echo "trace smoke: FAILED"
     exit 1
 fi
-echo "trace smoke: OK (foreign formats, damaged files, file==in-memory, shards, checkpoint round trip, peak RSS ${peak} kB <= ${RSS_BUDGET_KB} kB)"
+echo "trace smoke: OK (foreign formats, damaged files, file==in-memory, shards, budgeted checkpoint round trip, peak RSS ${max_peak} kB <= ${RSS_BUDGET_KB} kB streamed/sampled/resumed)"

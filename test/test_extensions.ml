@@ -23,7 +23,22 @@ let test_source_array () =
   check bool "index 5 ends" true (Resim_core.Source.at source 5 = None);
   Resim_core.Source.release_below source 3;
   check bool "array sources never reclaim" true
-    (Resim_core.Source.at source 0 <> None)
+    (Resim_core.Source.at source 0 <> None);
+  (* A full run releases as it goes; the caller's array is the window
+     itself and is never copied, compacted or written. *)
+  let records = sample 3000 in
+  let originals = Array.copy records in
+  let source = Resim_core.Source.of_array records in
+  (match Resim_core.Resim.run source with
+  | Ok robust ->
+      check int "every record consumed" 3000
+        robust.outcome.trace_summary.Resim_trace.Summary.total
+  | Error failure ->
+      Alcotest.fail (Resim_core.Resim.failure_to_string failure));
+  check bool "the window is the caller's array" true
+    (source.Resim_core.Source.window == records);
+  check bool "every element untouched" true
+    (Array.for_all2 ( == ) records originals)
 
 let test_source_pull () =
   let records = sample 100 in
@@ -117,11 +132,14 @@ let test_cosim_memory_bounded () =
 
 (* --- Multicore ---------------------------------------------------------- *)
 
-let spec_of name scale =
+let records_of name scale =
   let workload = Resim_workloads.Workload.find name in
-  let program = Resim_workloads.Workload.program_of workload ~scale () in
+  Resim_tracegen.Generator.records
+    (Resim_workloads.Workload.program_of workload ~scale ())
+
+let spec_of name scale =
   { Resim_multicore.System.name;
-    feed = Resim_multicore.System.Records (Resim_tracegen.Generator.records program);
+    source = Resim_core.Source.of_array (records_of name scale);
     config = Resim_core.Config.reference }
 
 let test_multicore_lockstep_equals_standalone () =
@@ -133,10 +151,8 @@ let test_multicore_lockstep_equals_standalone () =
     (fun (spec : Resim_multicore.System.core_spec)
          (result : Resim_multicore.System.core_result) ->
       let standalone =
-        match spec.feed with
-        | Resim_multicore.System.Records records ->
-            Resim_core.Engine.simulate ~config:spec.config records
-        | Resim_multicore.System.Stream _ -> assert false
+        Resim_core.Engine.simulate ~config:spec.config
+          (records_of spec.name 1024)
       in
       check i64
         (spec.name ^ " cycles match standalone")

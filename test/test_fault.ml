@@ -14,6 +14,7 @@ module Stats = Resim_core.Stats
 module Engine = Resim_core.Engine
 module Checkpoint = Resim_core.Checkpoint
 module Resim = Resim_core.Resim
+module Source = Resim_core.Source
 module Sweep = Resim_sweep.Sweep
 
 let check = Alcotest.check
@@ -102,9 +103,10 @@ let exercise_engine data =
       List.iter
         (fun config ->
           match
-            Resim.simulate_robust ~config ~watchdog:50_000 records
+            Resim.run ~config ~watchdog:50_000 (Source.of_array records)
           with
-          | Ok _ | Error (Resim.Fault _) | Error (Resim.Deadlock _) -> ())
+          | Ok _ | Error (Resim.Fault _) | Error (Resim.Deadlock _) -> ()
+          | Error (Resim.Resume _) -> Alcotest.fail "no checkpoint was given")
         org_sched_grid
 
 let test_no_escape_across_configs () =
@@ -144,7 +146,7 @@ let property_class_seed =
       (match Codec.decode_degraded data with
       | Error _ -> ()
       | Ok (salvaged, _format, _faults) -> (
-          match Resim.simulate_robust ~watchdog:50_000 salvaged with
+          match Resim.run ~watchdog:50_000 (Source.of_array salvaged) with
           | Ok _ | Error _ -> ()));
       diagnosed)
 
@@ -165,7 +167,7 @@ let property_random_byte =
       (match Codec.decode_degraded data with
       | Error _ -> ()
       | Ok (salvaged, _format, _faults) -> (
-          match Resim.simulate_robust ~watchdog:50_000 salvaged with
+          match Resim.run ~watchdog:50_000 (Source.of_array salvaged) with
           | Ok _ | Error _ -> ()));
       true)
 
@@ -282,60 +284,81 @@ let test_sweep_truncation_and_retry () =
 
 (* --- checkpoint / resume ---------------------------------------------- *)
 
-let test_checkpoint_resume_bit_identical () =
-  let records = Lazy.force base_records in
-  let full = (Resim.simulate_trace records).stats in
-  match Resim.simulate_robust ~max_cycles:1_000L records with
+let truncated_checkpoint ?resume ~max_cycles source =
+  match Resim.run ?resume ~max_cycles source with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok robust -> (
       check bool "stopped on the cycle budget" true
         (robust.stop = Engine.Cycle_budget);
-      let checkpoint =
-        match robust.resume with
-        | Some checkpoint -> checkpoint
-        | None -> Alcotest.fail "truncated run must yield a checkpoint"
+      match robust.resume with
+      | None -> Alcotest.fail "truncated run must yield a checkpoint"
+      | Some checkpoint -> (
+          (* Resume through the textual form, as the CLI does. *)
+          match Checkpoint.of_string (Checkpoint.to_string checkpoint) with
+          | Ok checkpoint -> checkpoint
+          | Error error -> Alcotest.fail (Checkpoint.error_to_string error)))
+
+(* Budgets apply after the replay: truncate, resume under a larger
+   (absolute) cycle budget — which truncates again — then resume to the
+   end. The final statistics must equal an uninterrupted run's, on an
+   array source and on a pull stream of the same records. *)
+let test_checkpoint_resume_bit_identical () =
+  let records = Lazy.force base_records in
+  let full = Resim.simulate_trace records in
+  let dump stats = Format.asprintf "%a" Stats.pp stats in
+  let pulled () =
+    let next = ref 0 in
+    Source.of_pull (fun () ->
+        if !next >= Array.length records then None
+        else begin
+          incr next;
+          Some records.(!next - 1)
+        end)
+  in
+  List.iter
+    (fun (label, source) ->
+      let first = truncated_checkpoint ~max_cycles:1_000L (source ()) in
+      let second =
+        truncated_checkpoint ~resume:first ~max_cycles:2_000L (source ())
       in
-      (* Resume through the textual form, as the CLI does. *)
-      let checkpoint =
-        match Checkpoint.of_string (Checkpoint.to_string checkpoint) with
-        | Ok checkpoint -> checkpoint
-        | Error error -> Alcotest.fail (Checkpoint.error_to_string error)
-      in
-      match Resim.resume_trace ~checkpoint records with
-      | Error message -> Alcotest.fail message
-      | Ok outcome ->
-          check bool "resumed stats bit-identical to unbounded run" true
-            (Stats.to_assoc outcome.stats = Stats.to_assoc full))
+      check Alcotest.int64 (label ^ ": second truncation at its budget")
+        2_000L second.cycle;
+      match Resim.run ~resume:second (source ()) with
+      | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
+      | Ok robust ->
+          check bool (label ^ ": drained") true (robust.stop = Engine.Drained);
+          check Alcotest.string
+            (label ^ ": resumed stats bit-identical to unbounded run")
+            (dump full.stats) (dump robust.outcome.stats);
+          check bool (label ^ ": whole-trace summary") true
+            (robust.outcome.trace_summary = full.trace_summary))
+    [ ("array", fun () -> Source.of_array records); ("stream", pulled) ]
 
 let test_resume_refuses_mismatch () =
   let records = Lazy.force base_records in
-  match Resim.simulate_robust ~max_cycles:1_000L records with
+  let checkpoint =
+    truncated_checkpoint ~max_cycles:1_000L (Source.of_array records)
+  in
+  (* A trace that diverges (timing-visibly) before the checkpoint cycle
+     cannot satisfy the snapshot verification. Note a foreign trace
+     sharing an identical prefix past the checkpoint is legitimately
+     accepted — the engine is deterministic, so the replayed prefix IS
+     the checkpointed computation. *)
+  let other = Array.copy records in
+  other.(0) <-
+    { other.(0) with
+      Resim_trace.Record.payload =
+        Resim_trace.Record.Other { op_class = Resim_trace.Record.Divide } };
+  (match Resim.run ~resume:checkpoint (Source.of_array other) with
+  | Error (Resim.Resume _) -> ()
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
-  | Ok robust -> (
-      let checkpoint =
-        match robust.resume with
-        | Some checkpoint -> checkpoint
-        | None -> Alcotest.fail "truncated run must yield a checkpoint"
-      in
-      (* A trace that diverges (timing-visibly) before the checkpoint
-         cycle cannot satisfy the snapshot verification. Note a foreign
-         trace sharing an identical prefix past the checkpoint is
-         legitimately accepted — the engine is deterministic, so the
-         replayed prefix IS the checkpointed computation. *)
-      let other = Array.copy records in
-      other.(0) <-
-        { other.(0) with
-          Resim_trace.Record.payload =
-            Resim_trace.Record.Other
-              { op_class = Resim_trace.Record.Divide } };
-      (match Resim.resume_trace ~checkpoint other with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "resume accepted a divergent trace");
-      (* Nor can a different configuration. *)
-      let config = { Config.reference with rob_entries = 32 } in
-      match Resim.resume_trace ~config ~checkpoint records with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "resume accepted a foreign configuration")
+  | Ok _ -> Alcotest.fail "resume accepted a divergent trace");
+  (* Nor can a different configuration. *)
+  let config = { Config.reference with rob_entries = 32 } in
+  match Resim.run ~config ~resume:checkpoint (Source.of_array records) with
+  | Error (Resim.Resume _) -> ()
+  | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
+  | Ok _ -> Alcotest.fail "resume accepted a foreign configuration"
 
 let test_degraded_decode_marks_stats () =
   let records = Lazy.force base_records in

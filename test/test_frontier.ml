@@ -76,13 +76,18 @@ let open_path_exn label path =
   | Error e ->
       Alcotest.failf "%s: open_path: %s" label (Codec.error_to_string e)
 
-let pulled label ~config path =
+let pulled ?max_cycles ?resume label ~config path =
   let stream = open_path_exn label path in
   Fun.protect
     ~finally:(fun () -> Stream.close stream)
     (fun () ->
       robust_exn label
-        (Resim.simulate_pull_robust ~config (fun () -> Stream.next stream)))
+        (Resim.run ~config ?max_cycles ?resume
+           (Source.of_pull (fun () -> Stream.next stream))))
+
+let in_memory ?max_cycles ?resume label ~config records =
+  robust_exn label
+    (Resim.run ~config ?max_cycles ?resume (Source.of_array records))
 
 let write_streamed ~format path records =
   let oc = open_out_bin path in
@@ -121,10 +126,13 @@ let with_compact_shards records f =
     ~finally:(fun () -> List.iter Sys.remove shards)
     (fun () -> f stem shards)
 
-(* Array reference: simulate_robust on the decoded trace. Pull runs:
+(* Array reference: Resim.run on the decoded trace. Pull runs:
    Stream.open_path over a counted Compact file on both schedulers and,
    on the reference scheduler, over a counted Fixed file, streamed-header
-   files in both formats and (first kernel only) a shard set. *)
+   files in both formats and (first kernel only) a shard set. Truncated
+   and resumed runs are inputs too: a run cut at half its cycles counts
+   the records it consumed on either path, and resuming its checkpoint
+   drains to the uninterrupted outcome. *)
 let test_streamed_matches_in_memory () =
   List.iteri
     (fun index (name, records) ->
@@ -136,15 +144,31 @@ let test_streamed_matches_in_memory () =
             (fun scheduler ->
               let config = with_scheduler scheduler Config.reference in
               let label = name ^ "/" ^ Config.scheduler_name scheduler in
-              let reference =
-                robust_exn label (Resim.simulate_robust ~config decoded)
-              in
+              let reference = in_memory label ~config decoded in
               let bits = reference.outcome.bits_per_instruction in
               check bool (label ^ ": fixed bits/instruction") true
                 (bits > 0.0 && bits = Codec.bits_per_instruction decoded);
               Codec.write_file ~format:Codec.Compact path records;
               check_same_outcome (label ^ "/compact") reference
                 (pulled label ~config path);
+              let max_cycles =
+                Int64.div
+                  (Stats.get Stats.major_cycles reference.outcome.stats)
+                  2L
+              in
+              let cut = in_memory label ~config ~max_cycles decoded in
+              check bool (label ^ ": truncated") true
+                (cut.stop = Engine.Cycle_budget);
+              check_same_outcome (label ^ "/truncated") cut
+                (pulled label ~config ~max_cycles path);
+              check int (label ^ ": truncated summary counts consumed records")
+                (Option.get cut.resume).Checkpoint.cursor
+                cut.outcome.trace_summary.total;
+              let resume = Option.get cut.resume in
+              check_same_outcome (label ^ "/resumed") reference
+                (in_memory label ~config ~resume decoded);
+              check_same_outcome (label ^ "/resumed-compact") reference
+                (pulled label ~config ~resume path);
               if scheduler = Config.reference.scheduler then begin
                 Codec.write_file ~format:Codec.Fixed path records;
                 check_same_outcome (label ^ "/fixed") reference
@@ -411,10 +435,10 @@ let test_multicore_truncated_stream () =
       in
       let specs =
         [ { System.name = "healthy";
-            feed = System.Records records;
+            source = Source.of_array records;
             config = Config.reference };
           { System.name = "starved";
-            feed = System.Stream (fun () -> Stream.next stream);
+            source = Source.of_pull (fun () -> Stream.next stream);
             config = Config.reference } ]
       in
       let system = System.create specs in
@@ -449,10 +473,10 @@ let test_multicore_stream_feed_matches_records_feed () =
       in
       let specs =
         [ { System.name = "array";
-            feed = System.Records records;
+            source = Source.of_array records;
             config = Config.reference };
           { System.name = "stream";
-            feed = System.Stream (fun () -> Stream.next stream);
+            source = Source.of_pull (fun () -> Stream.next stream);
             config = Config.reference } ]
       in
       let system = System.create specs in
@@ -664,7 +688,7 @@ let test_adapter_wrong_path_reaches_engine () =
        (Seq.filter (fun r -> r.Record.wrong_path)
           (Array.to_seq records))));
   let robust =
-    robust_exn "adapted simulate" (Resim.simulate_robust records)
+    robust_exn "adapted simulate" (Resim.run (Source.of_array records))
   in
   check bool "engine fetched down the wrong path" true
     (Stats.get Stats.fetched_wrong_path robust.outcome.stats > 0L)

@@ -10,6 +10,7 @@
 module Config = Resim_core.Config
 module Engine = Resim_core.Engine
 module Resim = Resim_core.Resim
+module Source = Resim_core.Source
 module Stats = Resim_core.Stats
 module Checkpoint = Resim_core.Checkpoint
 module Json = Resim_core.Json
@@ -201,7 +202,7 @@ let test_differential_grid () =
           let full_ipc =
             Stats.ipc (Resim.simulate_trace ~config records).stats
           in
-          match Sample.run ~config ~spec records with
+          match Sample.run ~config ~spec (Source.of_array records) with
           | Error failure ->
               Alcotest.fail (label ^ ": " ^ Resim.failure_to_string failure)
           | Ok (robust, report) ->
@@ -223,7 +224,7 @@ let test_determinism () =
   let records = Lazy.force base_records in
   let spec = { Sample.detail = 100; warmup = 400; seed = 42 } in
   let run () =
-    match Sample.run ~spec records with
+    match Sample.run ~spec (Source.of_array records) with
     | Ok (_, report) -> report
     | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   in
@@ -232,7 +233,9 @@ let test_determinism () =
   (* A different seed moves the initial offset (and with it the
      interval boundaries) for this period. *)
   let moved =
-    match Sample.run ~spec:{ spec with Sample.seed = 43 } records with
+    match
+      Sample.run ~spec:{ spec with Sample.seed = 43 } (Source.of_array records)
+    with
     | Ok (_, report) -> report
     | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   in
@@ -245,7 +248,7 @@ let test_report_accounting () =
     Stats.get_int Stats.committed (Resim.simulate_trace records).stats
   in
   let spec = { Sample.detail = 100; warmup = 400; seed = 3 } in
-  match Sample.run ~spec records with
+  match Sample.run ~spec (Source.of_array records) with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok (_, report) ->
       check bool "measured something" true
@@ -273,7 +276,7 @@ let test_report_accounting () =
 let test_sample_cycle_budget () =
   let records = Lazy.force base_records in
   let spec = { Sample.detail = 100; warmup = 100; seed = 0 } in
-  match Sample.run ~max_cycles:120L ~spec records with
+  match Sample.run ~max_cycles:120L ~spec (Source.of_array records) with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok (robust, report) ->
       check bool "stops on the cycle budget" true
@@ -292,7 +295,9 @@ let test_sample_deadline () =
   (* The engine polls the deadline every 256 cycles, so the detailed
      interval must be long enough to reach a poll point. *)
   let spec = { Sample.detail = 2000; warmup = 0; seed = 0 } in
-  match Sample.run ~deadline:(fun () -> true) ~spec records with
+  match
+    Sample.run ~deadline:(fun () -> true) ~spec (Source.of_array records)
+  with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok (robust, _) ->
       check bool "stops on the deadline" true
@@ -439,7 +444,7 @@ let test_emitters_parse () =
   in
   validates "Sweep.metrics_json" (Sweep.metrics_json report);
   (* sample report and the spliced --metrics document *)
-  (match Sample.run ~spec records with
+  (match Sample.run ~spec (Source.of_array records) with
   | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
   | Ok (robust, sample_report) ->
       validates "Sample.report_to_json" (Sample.report_to_json sample_report);
@@ -470,7 +475,7 @@ let property_sample_spec_json =
     (fun (detail, warmup) ->
       let records = Lazy.force base_records in
       let spec = { Sample.detail; warmup; seed = detail + warmup } in
-      match Sample.run ~spec records with
+      match Sample.run ~spec (Source.of_array records) with
       | Error _ -> false
       | Ok (_, report) ->
           Json.validate (Sample.report_to_json report) = Ok ())

@@ -252,6 +252,57 @@ let simulate_request ?(client = "test") ?(scale = 200) kernel =
           timeout = None;
           sample = None } }
 
+(* A sampled trace request streams its file through the worker's
+   Source; it must answer exactly what sampling the whole decoded file
+   in memory answers — the same statistics and sampled report. *)
+let test_sampled_trace_request () =
+  let records =
+    Resim_tracegen.Generator.records
+      (Resim_workloads.Workload.program_of
+         (Resim_workloads.Workload.find "gzip")
+         ~scale:400 ())
+  in
+  let path = Filename.temp_file "resimd_sampled" ".rtr" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Resim_trace.Codec.write_file path records;
+      let sample = "100:900:3" in
+      let payload =
+        Resim_serve.Exec.run ~retries:0 ~backoff:0.0 ~max_backoff:0.0
+          ~test_hooks:false
+          (Protocol.Simulate
+             { Protocol.kernel = "gzip";
+               scale = None;
+               trace = Some path;
+               config = Protocol.reference_spec;
+               max_cycles = None;
+               timeout = None;
+               sample = Some sample })
+      in
+      check string "sampled trace request outcome" "ok"
+        payload.Protocol.outcome;
+      let spec =
+        match Resim_sample.Sample.spec_of_string sample with
+        | Ok spec -> spec
+        | Error message -> fail message
+      in
+      let decoded, _format = Resim_trace.Codec.read_file path in
+      match
+        Resim_sample.Sample.run ~spec (Resim_core.Source.of_array decoded)
+      with
+      | Error failure -> fail (Resim.failure_to_string failure)
+      | Ok (robust, report) ->
+          check bool "several intervals measured" true
+            (List.length report.Resim_sample.Sample.intervals >= 2);
+          check (option string) "same metrics as the whole-file run"
+            (Some
+               (Resim_sample.Sample.splice_metrics
+                  ~stats_json:
+                    (Resim_core.Stats.to_json robust.Resim.outcome.stats)
+                  report))
+            payload.Protocol.metrics)
+
 let test_crash_recovery () =
   let socket = fresh_socket () in
   let config =
@@ -486,6 +537,9 @@ let suite =
        QCheck_alcotest.to_alcotest property_frame_round_trip;
        Alcotest.test_case "frame error taxonomy" `Quick test_frame_errors;
        Alcotest.test_case "exit-code mapping" `Quick test_exit_code_mapping ]);
+    ("serve:exec",
+     [ Alcotest.test_case "sampled trace request streams like the whole file"
+         `Quick test_sampled_trace_request ]);
     ("serve:server",
      [ Alcotest.test_case "crashed worker: retry budget then crash outcome"
          `Slow test_crash_recovery;

@@ -115,15 +115,19 @@ let test_checkpoint_resume () =
   List.iter
     (fun config ->
       let name = Config.scheduler_name config.Config.scheduler in
-      match Resim.simulate_robust ~config ~max_cycles:1000L records with
+      match
+        Resim.run ~config ~max_cycles:1000L (Source.of_array records)
+      with
       | Error _ -> Alcotest.fail (name ^ ": bounded run failed")
       | Ok robust -> (
           match robust.Resim.resume with
           | None -> Alcotest.fail (name ^ ": expected a resume checkpoint")
           | Some checkpoint -> (
-              match Resim.resume_trace ~config ~checkpoint records with
-              | Error message -> Alcotest.fail message
-              | Ok outcome ->
+              match
+                Resim.run ~config ~resume:checkpoint (Source.of_array records)
+              with
+              | Error failure -> Alcotest.fail (Resim.failure_to_string failure)
+              | Ok { outcome; _ } ->
                   let oracle = run_engine ~oracle:true config records in
                   check string
                     (name ^ ": resumed run matches the oracle")
